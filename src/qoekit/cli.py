@@ -21,6 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, ahp, composite, emodel
 from . import trace as tracemod
 
@@ -415,7 +417,7 @@ def cmd_mos(args: argparse.Namespace) -> int:
     sample = composite.QosSample(args.loss, args.delay, args.jitter)
     payload = _mos_payload(sample, model, profile)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(_format_mos_line(payload))
     return EXIT_OK
@@ -430,9 +432,9 @@ def cmd_trace_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     atomic_write_text(out, tracemod.trace_to_csv_text(trace))
 
-    received = sum(1 for p in trace.packets if p.received)
+    received = int(np.count_nonzero(~np.isnan(trace.recv)))
     line = (
-        f"wrote {len(trace.packets)} packets to {out} "
+        f"wrote {len(trace.seq)} packets to {out} "
         f"(loss {tracemod.loss_rate(trace):.{DISPLAY_DP}f}%"
     )
     if received:
@@ -516,15 +518,10 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
         [args.trace],
     )
 
-    header = " ".join(REPORT_CSV_COLUMNS)
-    print(header)
-    for r in rows:
-        print(
-            " ".join(
-                _csv_cell(r[c]) if r[c] is not None else "n/a"
-                for c in REPORT_CSV_COLUMNS
-            )
-        )
+    # each cell is formatted once: "" (None) in the CSV file, "n/a" on stdout
+    cells = [[_csv_cell(r[c]) for c in REPORT_CSV_COLUMNS] for r in rows]
+    table = (" ".join(cell or "n/a" for cell in row) for row in cells)
+    print("\n".join((" ".join(REPORT_CSV_COLUMNS), *table)))
     print(
         f"summary: windows={len(rows)} "
         f"mean_mos={payload['summary']['mean_mos']:.{DISPLAY_DP}f} "
@@ -532,12 +529,11 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
     )
 
     if args.out:
-        atomic_write_text(args.out, json.dumps(payload, indent=2) + "\n")
+        report = json.dumps(payload, indent=2, allow_nan=False)
+        atomic_write_text(args.out, report + "\n")
         print(f"wrote report to {args.out}")
     if args.csv:
-        lines = [",".join(REPORT_CSV_COLUMNS)]
-        for r in rows:
-            lines.append(",".join(_csv_cell(r[c]) for c in REPORT_CSV_COLUMNS))
+        lines = [",".join(REPORT_CSV_COLUMNS), *(",".join(row) for row in cells)]
         atomic_write_text(args.csv, "\n".join(lines) + "\n")
         print(f"wrote table to {args.csv}")
     return EXIT_OK

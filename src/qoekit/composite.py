@@ -13,6 +13,7 @@ concurrent use.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
@@ -62,10 +63,11 @@ class QosSample:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_pct <= 100.0:
             raise ValueError(f"loss_pct must be within [0, 100], got {self.loss_pct}")
-        if self.delay_ms is not None and self.delay_ms < 0:
-            raise ValueError(f"delay_ms must be >= 0, got {self.delay_ms}")
-        if self.jitter_ms is not None and self.jitter_ms < 0:
-            raise ValueError(f"jitter_ms must be >= 0, got {self.jitter_ms}")
+        # NaN fails every comparison, so test for the valid range
+        for name in ("delay_ms", "jitter_ms"):
+            value = getattr(self, name)
+            if value is not None and not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 class ComponentMos(Mapping):

@@ -1,37 +1,32 @@
 """Packet-trace impairment metrics and a seeded trace generator.
 
-A trace is a sequence-numbered list of send/receive timestamps; a missing
-receive timestamp means the packet was lost.  From it this module
-measures loss rate, mean one-way delay and interarrival jitter (the
-smoothed RFC 3550 estimator by default, a mean-absolute-difference
-variant for transparency), both whole-trace and per window.
-
-Lost packets contribute to loss only, never to delay or jitter; no
-imputation.  The generator produces traces at a fixed send cadence with
-independent loss and configurable jitter, deterministic for a given seed.
+A trace is three columns in strictly increasing seq order: ``seq``, and
+``send`` and ``recv`` times in ms (NaN receive time = lost).  One kernel,
+:func:`window_metrics`, measures loss, mean one-way delay and jitter
+(smoothed RFC 3550, or a mean absolute difference) for any set of
+windows; the whole trace is one window.  Lost packets count toward loss
+only.  Generated traces are deterministic for a given seed.
 """
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .composite import QosSample
+from .emodel import PARETO_H_MAX, PARETO_H_MIN
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
-
 JITTER_ESTIMATORS = ("rfc3550", "mean-abs")
-
+JITTER_MODELS = ("none", "uniform", "pareto")
 #: Gain of the smoothed jitter recursion, J += (|D| - J)/16.
 RFC3550_GAIN = 16.0
-
-JITTER_MODELS = ("none", "uniform", "pareto")
-
-PARETO_SHAPE_MIN = 0.55
-PARETO_SHAPE_MAX = 0.9
 
 
 @dataclass(frozen=True)
@@ -45,6 +40,8 @@ class PacketRecord:
     def __post_init__(self) -> None:
         if self.seq < 0:
             raise ValueError(f"seq must be nonnegative, got {self.seq}")
+        if not math.isfinite(self.send_ts_ms + (self.recv_ts_ms or 0.0)):
+            raise ValueError(f"seq {self.seq}: timestamps must be finite")
         if self.recv_ts_ms is not None and self.recv_ts_ms < self.send_ts_ms:
             raise ValueError(
                 f"seq {self.seq}: recv_ts_ms {self.recv_ts_ms} precedes "
@@ -62,23 +59,54 @@ class PacketRecord:
         return self.recv_ts_ms - self.send_ts_ms
 
 
-@dataclass(frozen=True)
+def _check_columns(seq, send, recv, where=lambda i: "") -> None:
+    """Raise for the first row that breaks the trace contract, at ``where(i)``."""
+    backwards = np.append(False, seq[1:] <= seq[:-1])
+    checks = (
+        (seq < 0, "seq must be nonnegative, got {s}"),
+        (~np.isfinite(send), "seq {s}: send_ts_ms must be finite, got {t}"),
+        (np.isinf(recv), "seq {s}: recv_ts_ms must be finite, got {r}"),
+        (recv < send, "seq {s}: recv_ts_ms {r} precedes send_ts_ms {t}"),
+        (backwards, "seq must be strictly increasing, got {p} then {s}"),
+    )
+    found = [(int(bad.argmax()), message) for bad, message in checks if bad.any()]
+    if found:
+        i, message = min(found)
+        s, t, r, p = seq[i].item(), send[i].item(), recv[i].item(), seq[i - 1].item()
+        raise ValueError(where(i) + message.format(s=s, t=t, r=r, p=p))
+
+
 class Trace:
-    """Nonempty packet sequence ordered by strictly increasing seq."""
+    """Nonempty, read-only packet columns ordered by strictly increasing seq.
 
-    packets: tuple[PacketRecord, ...]
-    source: str = ""
-    interval_ms: float | None = None
+    ``Trace(records)`` checks :class:`PacketRecord` objects into columns;
+    ``columns=(seq, send, recv)`` takes checked arrays as they are.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "packets", tuple(self.packets))
-        if not self.packets:
+    def __init__(
+        self, packets=(), source: str = "", interval_ms: float | None = None,
+        *, columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        if columns is None:
+            packets = tuple(packets)
+            columns = (
+                np.array([p.seq for p in packets], dtype=np.int64),
+                np.array([p.send_ts_ms for p in packets], dtype=np.float64),
+                np.array([p.recv_ts_ms for p in packets], dtype=np.float64),
+            )  # a None receive time becomes NaN
+            _check_columns(*columns)
+        if not len(columns[0]):
             raise ValueError("trace must contain at least one packet")
-        for prev, cur in zip(self.packets, self.packets[1:]):
-            if cur.seq <= prev.seq:
-                raise ValueError(
-                    f"seq must be strictly increasing, got {prev.seq} then {cur.seq}"
-                )
+        for column in columns:
+            column.flags.writeable = False
+        self.seq, self.send, self.recv = columns
+        self.source, self.interval_ms = source, interval_ms
+
+    @property
+    def packets(self) -> tuple[PacketRecord, ...]:
+        """The records, rebuilt on each access."""
+        rows = zip(self.seq.tolist(), self.send.tolist(), self.recv.tolist())
+        return tuple(PacketRecord(s, t, None if r != r else r) for s, t, r in rows)
 
 
 @dataclass(frozen=True)
@@ -86,8 +114,7 @@ class WindowMetrics:
     """Per-window measurement: loss/delay/jitter sample plus packet counts.
 
     ``packet_count`` is the expected count from the window's seq span;
-    unavailable delay/jitter (too few received packets) appear as None in
-    the sample.  The trailing partial window is flagged.
+    delay/jitter are None when too few packets arrived to measure them.
     """
 
     window_id: int
@@ -116,106 +143,112 @@ class ImpairmentSpec:
     pareto_scale_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_prob <= 1.0:
-            raise ValueError(f"loss_prob must be within [0, 1], got {self.loss_prob}")
-        if self.base_delay_ms < 0:
-            raise ValueError(
-                f"base_delay_ms must be >= 0, got {self.base_delay_ms}"
-            )
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be > 0, got {self.duration_s}")
-        if self.packet_interval_ms <= 0:
-            raise ValueError(
-                f"packet_interval_ms must be > 0, got {self.packet_interval_ms}"
-            )
-        if not isinstance(self.rng_seed, int):
-            raise ValueError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        if self.jitter_model not in JITTER_MODELS:
-            raise ValueError(
-                f"jitter_model must be one of {JITTER_MODELS}, "
-                f"got {self.jitter_model!r}"
-            )
-        if self.jitter_amplitude_ms < 0:
-            raise ValueError(
-                f"jitter_amplitude_ms must be >= 0, got {self.jitter_amplitude_ms}"
-            )
-        if not PARETO_SHAPE_MIN <= self.pareto_shape <= PARETO_SHAPE_MAX:
-            raise ValueError(
-                f"pareto_shape must be within [{PARETO_SHAPE_MIN}, "
-                f"{PARETO_SHAPE_MAX}], got {self.pareto_shape}"
-            )
-        if self.pareto_scale_ms < 0:
-            raise ValueError(
-                f"pareto_scale_ms must be >= 0, got {self.pareto_scale_ms}"
-            )
+        lo, hi, models = PARETO_H_MIN, PARETO_H_MAX, JITTER_MODELS
+        for ok, message in (
+            (0.0 <= self.loss_prob <= 1.0, "loss_prob must be within [0, 1]"),
+            (self.base_delay_ms >= 0, "base_delay_ms must be >= 0"),
+            (self.duration_s > 0, "duration_s must be > 0"),
+            (self.packet_interval_ms > 0, "packet_interval_ms must be > 0"),
+            (isinstance(self.rng_seed, int), "rng_seed must be an integer"),
+            (self.jitter_model in models, f"jitter_model must be one of {models}"),
+            (self.jitter_amplitude_ms >= 0, "jitter_amplitude_ms must be >= 0"),
+            (lo <= self.pareto_shape <= hi, f"pareto_shape must be within [{lo}, {hi}]"),
+            (self.pareto_scale_ms >= 0, "pareto_scale_ms must be >= 0"),
+        ):
+            if not ok:
+                value = getattr(self, message.split()[0])
+                raise ValueError(f"{message}, got {value!r}")
 
 
-def _in_window(
-    trace: Trace, window: tuple[float, float] | None
-) -> list[PacketRecord]:
+#: Per-window arrays from :func:`window_metrics`; NaN = unavailable.
+WindowColumns = namedtuple(
+    "WindowColumns", "sent expected received loss_pct delay_ms jitter_ms"
+)
+
+
+def window_metrics(
+    trace: Trace, window_of: np.ndarray, n_windows: int, jitter_estimator: str
+) -> WindowColumns:
+    """Counts, loss, delay and jitter of every window in one pass.
+
+    ``window_of[i]`` is packet i's window, or negative to leave it out;
+    within a window packets keep seq order.  ``expected`` is the seq span
+    of the window's ``sent`` rows, so an absent seq counts as lost; a
+    window with no rows reports 100% loss.  The RFC 3550 recursion
+    J += (|D| - J)/16 from J = 0 ends at J_m = sum_k g (1-g)^(m-k) |D_k|.
+    """
+    order = np.flatnonzero(window_of >= 0)
+    order = order[np.argsort(window_of[order], kind="stable")]
+    columns = (trace.seq, trace.send, trace.recv, window_of)
+    seq, send, recv, win = (column[order] for column in columns)
+    sent = np.bincount(win, minlength=n_windows)
+    has, last = sent > 0, np.cumsum(sent) - 1
+    expected = np.zeros_like(sent)
+    expected[has] = seq[last[has]] - seq[(last - sent + 1)[has]] + 1
+    got = ~np.isnan(recv)
+    rwin, rsend, rrecv = win[got], send[got], recv[got]
+    received = np.bincount(rwin, minlength=n_windows)
+    delay = rrecv - rsend
+    same = rwin[1:] == rwin[:-1]  # consecutive received pairs of one window
+    pwin = rwin[1:][same]
+    pairs = np.bincount(pwin, minlength=n_windows)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        loss = np.where(has, 100.0 * (expected - received) / expected, 100.0)
+        delay_ms = np.bincount(rwin, weights=delay, minlength=n_windows) / received
+        if jitter_estimator == "rfc3550":
+            d = np.abs(np.diff(rrecv) - np.diff(rsend))[same]
+            age = (np.cumsum(pairs) - 1)[pwin] - np.arange(len(pwin))
+            d = d * (1.0 - 1.0 / RFC3550_GAIN) ** age / RFC3550_GAIN
+            jitter = np.bincount(pwin, weights=d, minlength=n_windows)
+        else:
+            d = np.abs(np.diff(delay))[same]
+            jitter = np.bincount(pwin, weights=d, minlength=n_windows) / pairs
+    jitter = np.where(pairs > 0, jitter, np.nan)
+    return WindowColumns(sent, expected, received, loss, delay_ms, jitter)
+
+
+def _whole(trace: Trace, window, field: str, estimator="rfc3550") -> float:
+    """One metric over the whole trace, or over the sends in [start, end)."""
     if window is None:
-        return list(trace.packets)
-    start, end = window
-    return [p for p in trace.packets if start <= p.send_ts_ms < end]
+        window_of = np.zeros_like(trace.seq)
+    else:
+        start, end = window
+        window_of = np.where((start <= trace.send) & (trace.send < end), 0, -1)
+    m = window_metrics(trace, window_of, 1, estimator)
+    value = getattr(m, field)[0].item()
+    if not m.sent[0] or value != value:
+        raise ValueError({
+            "loss_pct": f"window {window} contains no packets",
+            "delay_ms": f"window {window} has no received packets",
+        }.get(field, "jitter needs at least 2 received packets"))
+    return value
 
 
 def loss_rate(trace: Trace, window: tuple[float, float] | None = None) -> float:
     """Packet loss percentage over a [start, end) send-time window.
 
-    Expected count is the seq span within the window; a packet counts as
-    lost if its record lacks a receive timestamp or its seq is absent from
-    the span entirely.
+    Expected is the seq span, so an absent seq counts as lost.
     """
-    packets = _in_window(trace, window)
-    if not packets:
-        raise ValueError(f"window {window} contains no packets")
-    expected = packets[-1].seq - packets[0].seq + 1
-    received = sum(1 for p in packets if p.received)
-    return 100.0 * (expected - received) / expected
+    return _whole(trace, window, "loss_pct")
 
 
 def mean_delay(trace: Trace, window: tuple[float, float] | None = None) -> float:
     """Mean one-way delay in ms over received packets in the window."""
-    delays = [p.delay_ms for p in _in_window(trace, window) if p.received]
-    if not delays:
-        raise ValueError(f"window {window} has no received packets")
-    return sum(delays) / len(delays)
+    return _whole(trace, window, "delay_ms")
 
 
-def jitter_rfc3550(
-    trace: Trace, window: tuple[float, float] | None = None
-) -> float:
+def jitter_rfc3550(trace: Trace, window: tuple[float, float] | None = None) -> float:
     """Smoothed interarrival jitter over consecutive received packets.
 
-    For each consecutive received pair, D is the difference of transit
-    times; the estimate follows J += (|D| - J)/16 from J = 0 and the final
-    J in ms is returned.
+    D is the transit-time difference of each pair; returns the final J of
+    J += (|D| - J)/16 from J = 0, in ms.
     """
-    received = [p for p in _in_window(trace, window) if p.received]
-    if len(received) < 2:
-        raise ValueError("jitter needs at least 2 received packets")
-    j = 0.0
-    for prev, cur in zip(received, received[1:]):
-        d = (cur.recv_ts_ms - prev.recv_ts_ms) - (cur.send_ts_ms - prev.send_ts_ms)
-        j += (abs(d) - j) / RFC3550_GAIN
-    return j
+    return _whole(trace, window, "jitter_ms", "rfc3550")
 
 
-def jitter_mean_abs(
-    trace: Trace, window: tuple[float, float] | None = None
-) -> float:
+def jitter_mean_abs(trace: Trace, window: tuple[float, float] | None = None) -> float:
     """Mean absolute transit-time difference over consecutive received pairs."""
-    received = [p for p in _in_window(trace, window) if p.received]
-    if len(received) < 2:
-        raise ValueError("jitter needs at least 2 received packets")
-    diffs = [
-        abs(cur.delay_ms - prev.delay_ms)
-        for prev, cur in zip(received, received[1:])
-    ]
-    return sum(diffs) / len(diffs)
-
-
-_JITTER_FUNCS = {"rfc3550": jitter_rfc3550, "mean-abs": jitter_mean_abs}
+    return _whole(trace, window, "jitter_ms", "mean-abs")
 
 
 def windows(
@@ -223,99 +256,65 @@ def windows(
 ) -> list[WindowMetrics]:
     """Partition a trace by send time into half-open windows and measure each.
 
-    Windows start at the first send timestamp.  The jitter recursion
-    restarts per window.  A window with no received packets reports 100%
-    loss and unavailable (None) delay/jitter; the trailing window is
-    flagged partial when the trace does not cover its full length (trace
-    coverage ends at the last send plus the nominal interval, when known).
+    Windows start at the first send time; the jitter recursion restarts in
+    each.  A window with no received packets has None delay and jitter.  The
+    last window is partial when the trace, which ends at the last send plus
+    the nominal interval (if known), does not cover it.
     """
-    if window_len_s <= 0:
+    if not window_len_s > 0:  # NaN too
         raise ValueError(f"window_len_s must be > 0, got {window_len_s}")
     if jitter_estimator not in JITTER_ESTIMATORS:
         raise ValueError(
             f"jitter_estimator must be one of {JITTER_ESTIMATORS}, "
             f"got {jitter_estimator!r}"
         )
-    jitter_func = _JITTER_FUNCS[jitter_estimator]
     win_ms = window_len_s * 1000.0
-    t0 = trace.packets[0].send_ts_ms
-    coverage_end = trace.packets[-1].send_ts_ms + (trace.interval_ms or 0.0)
-
-    buckets: dict[int, list[PacketRecord]] = {}
-    for p in trace.packets:
-        buckets.setdefault(int((p.send_ts_ms - t0) // win_ms), []).append(p)
-    last = max(buckets)
-
-    out: list[WindowMetrics] = []
-    for idx in range(last + 1):
+    t0 = trace.send[0].item()
+    coverage_end = trace.send[-1].item() + (trace.interval_ms or 0.0)
+    window_of = ((trace.send - t0) // win_ms).astype(np.int64)
+    n = int(window_of.max()) + 1
+    m = window_metrics(trace, window_of, n, jitter_estimator)
+    out = []
+    for idx, (expected, received, loss, delay, jitter) in enumerate(
+        zip(*(column.tolist() for column in m[1:]))
+    ):
         start = t0 + idx * win_ms
         end = start + win_ms
-        packets = buckets.get(idx, [])
-        received = [p for p in packets if p.received]
-        if packets:
-            expected = packets[-1].seq - packets[0].seq + 1
-            loss = 100.0 * (expected - len(received)) / expected
-        else:
-            # No packets were even sent in this span: treat as full outage.
-            expected = 0
-            loss = 100.0
-        delay = (
-            sum(p.delay_ms for p in received) / len(received) if received else None
-        )
-        # compute over the bucket itself so boundary packets cannot land in
-        # one window for counting and another for jitter
-        jitter = (
-            jitter_func(Trace(tuple(packets), interval_ms=trace.interval_ms))
-            if len(received) >= 2
-            else None
-        )
+        delay = None if delay != delay else delay
+        jitter = None if jitter != jitter else jitter
+        sample = QosSample(loss, delay, jitter, window_id=str(idx))
+        lost, partial = expected - received, idx == n - 1 and coverage_end < end
         out.append(
-            WindowMetrics(
-                window_id=idx,
-                sample=QosSample(loss, delay, jitter, window_id=str(idx)),
-                packet_count=expected,
-                lost_count=expected - len(received),
-                received_count=len(received),
-                start_ms=start,
-                end_ms=end,
-                partial=(idx == last and coverage_end < end),
-            )
+            WindowMetrics(idx, sample, expected, lost, received, start, end, partial)
         )
     return out
-
-
-def _jitter_draw(spec: ImpairmentSpec, rng: random.Random) -> float:
-    if spec.jitter_model == "uniform":
-        return rng.uniform(-spec.jitter_amplitude_ms, spec.jitter_amplitude_ms)
-    if spec.jitter_model == "pareto":
-        u = 1.0 - rng.random()  # (0, 1]; guards against u = 0
-        return spec.pareto_scale_ms * (u ** (-1.0 / spec.pareto_shape) - 1.0)
-    return 0.0
 
 
 def generate(spec: ImpairmentSpec) -> Trace:
     """Generate a trace at fixed cadence with independent loss and jitter.
 
-    Deterministic for a given seed.  Per-packet delay is base plus the
-    jitter draw, truncated at zero so receive never precedes send.
+    Per packet, one loss draw and then, if received, one jitter draw; the
+    delay is base plus jitter, truncated at zero.
     """
     count = int(round(spec.duration_s * 1000.0 / spec.packet_interval_ms))
     if count < 1:
         raise ValueError("duration_s and packet_interval_ms yield an empty trace")
     rng = random.Random(spec.rng_seed)
-    packets = []
-    for i in range(count):
-        seq = i + 1
-        send = i * spec.packet_interval_ms
-        if rng.random() < spec.loss_prob:
-            packets.append(PacketRecord(seq, send, None))
-            continue
-        delay = max(spec.base_delay_ms + _jitter_draw(spec, rng), 0.0)
-        packets.append(PacketRecord(seq, send, send + delay))
+    rand, amplitude = rng.random, spec.jitter_amplitude_ms
+    scale, power = spec.pareto_scale_ms, -1.0 / spec.pareto_shape
+    draw = {
+        "none": lambda: 0.0,
+        "uniform": lambda: rng.uniform(-amplitude, amplitude),
+        # 1 - random() is in (0, 1]; guards against u = 0
+        "pareto": lambda: scale * ((1.0 - rand()) ** power - 1.0),
+    }[spec.jitter_model]
+    loss, base, nan = spec.loss_prob, spec.base_delay_ms, math.nan
+    delays = [nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)]
+    send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
     return Trace(
-        tuple(packets),
         source=f"generated(seed={spec.rng_seed})",
         interval_ms=spec.packet_interval_ms,
+        columns=(np.arange(1, count + 1), send, send + np.array(delays)),
     )
 
 
@@ -323,19 +322,13 @@ def generate(spec: ImpairmentSpec) -> Trace:
 # File formats: traces as CSV, generator specs as JSON.
 
 def trace_to_csv_text(trace: Trace) -> str:
-    """Render a trace as CSV text; an empty recv field marks a lost packet."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(TRACE_HEADER)
-    for p in trace.packets:
-        writer.writerow(
-            [
-                p.seq,
-                repr(float(p.send_ts_ms)),
-                "" if p.recv_ts_ms is None else repr(float(p.recv_ts_ms)),
-            ]
-        )
-    return buf.getvalue()
+    """CSV text with ``repr`` timestamps; an empty recv field marks a loss."""
+    parts = [",".join(TRACE_HEADER) + "\r\n"]
+    for i in range(0, len(trace.seq), 8192):  # in blocks, to bound peak memory
+        block = (c[i : i + 8192].tolist() for c in (trace.seq, trace.send, trace.recv))
+        text = "".join([f"{s},{t!r},{r!r}\r\n" for s, t, r in zip(*block)])
+        parts.append(text.replace(",nan\r\n", ",\r\n"))  # only recv can be NaN
+    return "".join(parts)
 
 
 def write_trace(trace: Trace, path: str | Path) -> None:
@@ -344,51 +337,52 @@ def write_trace(trace: Trace, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path, interval_ms: float | None = None) -> Trace:
-    """Read a CSV trace, reporting malformed rows with their line number.
+    """Read a CSV trace, naming the line of a malformed row; skip blank rows.
 
-    The CSV carries no cadence metadata, so unless ``interval_ms`` is
-    given the nominal inter-packet interval is inferred as the median
-    send-time delta (None for single-packet traces).
+    Unless ``interval_ms`` is given, the nominal inter-packet interval is
+    the median send-time delta (None for single-packet traces).
     """
-    packets = []
+    seq, send, recv, blank = [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace file") from None
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty trace file")
         if tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise ValueError(
-                f"{path}: line 1: expected header {','.join(TRACE_HEADER)}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 columns")
+            raise ValueError(f"{path}: line 1: expected header {','.join(TRACE_HEADER)}")
+        for n, row in enumerate(reader, start=2):
             try:
-                seq = int(row[0])
-                send = float(row[1])
-                recv = float(row[2]) if row[2].strip() else None
-                packets.append(PacketRecord(seq, send, recv))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    if not packets:
+                q, t, r = row
+                q, t, r = int(q), float(t), (float(r) if r.strip() else None)
+                if r != r:  # NaN marks a lost packet, so a literal NaN must not pass
+                    raise ValueError("recv_ts_ms must be finite, got nan")
+            except ValueError as exc:  # blank rows are checked for only here
+                if not any(cell.strip() for cell in row):
+                    blank.append(n)
+                    continue
+                reason = exc if len(row) == 3 else "expected 3 columns"
+                raise ValueError(f"{path}: line {n}: {reason}") from exc
+            seq.append(q)
+            send.append(t)
+            recv.append(r)
+    if not seq:
         raise ValueError(f"{path}: trace contains no packets")
-    if interval_ms is None and len(packets) > 1:
-        deltas = sorted(
-            b.send_ts_ms - a.send_ts_ms for a, b in zip(packets, packets[1:])
-        )
-        interval_ms = deltas[len(deltas) // 2]
-    return Trace(tuple(packets), source=str(path), interval_ms=interval_ms)
+    lines = np.delete(np.arange(2, len(seq) + len(blank) + 2), np.array(blank, int) - 2)
+    try:  # a None receive time becomes NaN
+        columns = (np.array(seq, np.int64), np.array(send), np.array(recv, np.float64))
+    except OverflowError:
+        i = next(i for i, q in enumerate(seq) if not -(2**63) <= q < 2**63)
+        raise ValueError(f"{path}: line {lines[i]}: seq {seq[i]} is too large") from None
+    _check_columns(*columns, where=lambda i: f"{path}: line {lines[i]}: ")
+    if interval_ms is None and len(seq) > 1:
+        deltas = np.diff(columns[1])
+        interval_ms = np.partition(deltas, len(deltas) // 2)[len(deltas) // 2].item()
+    return Trace(source=str(path), interval_ms=interval_ms, columns=columns)
 
 
 def spec_from_dict(data: dict) -> ImpairmentSpec:
-    """Build a generator spec from its JSON layout.
-
-    Jitter settings nest under "jitter": {"model": "none" | "uniform" |
-    "pareto", "amplitude_ms": ..., "shape": ..., "scale_ms": ...}.
-    """
+    """Build a generator spec from its JSON layout, where jitter settings
+    nest as "jitter": {"model", "amplitude_ms", "shape", "scale_ms"}."""
     if "rng_seed" not in data:
         raise ValueError("spec is missing required field 'rng_seed'")
     jitter = data.get("jitter", {"model": "none"})

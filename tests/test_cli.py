@@ -292,6 +292,18 @@ def test_mos_range_violation_named(capsys):
     assert "loss_pct" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--delay", "nan"), ("--delay", "inf"), ("--jitter", "nan"), ("--jitter", "inf")],
+)
+def test_mos_rejects_non_finite_input(capsys, flag, value):
+    argv = {"--loss": "1.0", "--delay": "100", "--jitter": "5", flag: value}
+    code, out, err = run(capsys, "mos", *(x for kv in argv.items() for x in kv))
+    assert code == 2
+    assert out == ""
+    assert f"{flag[2:]}_ms must be finite" in err
+
+
 def test_mos_jitter_overrides(capsys):
     code, out, _ = run(
         capsys,
@@ -442,6 +454,18 @@ def test_trace_analyze_reports_malformed_line(tmp_path, capsys):
     code, _, err = run(capsys, "trace", "analyze", str(bad))
     assert code == 2
     assert "line 3" in err
+
+
+@pytest.mark.parametrize("recv", ["nan", "inf"])
+def test_trace_analyze_rejects_non_finite_row(tmp_path, capsys, recv):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,20.0,{recv}\n")
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "trace", "analyze", str(bad), "--out", str(report))
+    assert code == 2
+    assert "line 3" in err and "recv_ts_ms must be finite" in err
+    assert out == ""
+    assert not report.exists()
 
 
 def test_trace_analyze_empty_trace_aborts(tmp_path, capsys):

@@ -224,6 +224,8 @@ def test_windows_validation():
     trace = generate(uniform_spec(duration_s=1.0))
     with pytest.raises(ValueError, match="window_len_s"):
         windows(trace, 0.0)
+    with pytest.raises(ValueError, match="window_len_s"):
+        windows(trace, float("nan"))
     with pytest.raises(ValueError, match="jitter_estimator"):
         windows(trace, 1.0, jitter_estimator="median")
 
@@ -386,4 +388,61 @@ def test_read_trace_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("seq,send_ts_ms,recv_ts_ms\n")
     with pytest.raises(ValueError, match="no packets"):
+        read_trace(path)
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("2,20.0,nan", "recv_ts_ms"),
+        ("2,20.0,inf", "recv_ts_ms"),
+        ("2,20.0,-Infinity", "recv_ts_ms"),
+        ("2,nan,120.0", "send_ts_ms"),
+        ("2,inf,", "send_ts_ms"),
+    ],
+)
+def test_read_trace_rejects_non_finite_timestamps(tmp_path, row, field):
+    # NaN marks a lost packet in the columns, so a literal non-finite
+    # timestamp must be rejected rather than read as a loss
+    path = tmp_path / "bad.csv"
+    path.write_text(f"seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n{row}\n3,40.0,140.0\n")
+    with pytest.raises(ValueError, match=f"line 3: .*{field} must be finite"):
+        read_trace(path)
+
+
+def test_read_trace_skips_blank_rows_and_keeps_line_numbers(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n\n , ,\n2,20.0,\n")
+    trace = read_trace(path)
+    assert trace.packets == (PacketRecord(1, 0.0, 100.0), PacketRecord(2, 20.0, None))
+    path.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n\n2,20.0,10.0\n")
+    with pytest.raises(ValueError, match="line 4: seq 2: recv_ts_ms 10.0 precedes"):
+        read_trace(path)
+
+
+def test_read_trace_names_line_of_seq_that_does_not_increase(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,20.0,\n2,40.0,\n")
+    with pytest.raises(ValueError, match="line 4: seq must be strictly increasing"):
+        read_trace(path)
+
+
+def test_record_rejects_non_finite_timestamps():
+    with pytest.raises(ValueError, match="finite"):
+        PacketRecord(1, 0.0, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        PacketRecord(1, float("inf"), None)
+
+
+def test_read_trace_rejects_seq_beyond_64_bits(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text(f"seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n{2**64},20.0,\n")
+    with pytest.raises(ValueError, match="line 3: seq 18446744073709551616"):
+        read_trace(path)
+
+
+def test_read_trace_rejects_wrong_column_count(tmp_path):
+    path = tmp_path / "cols.csv"
+    path.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n\n2,20.0\n")
+    with pytest.raises(ValueError, match="line 4: expected 3 columns"):
         read_trace(path)
