@@ -335,12 +335,6 @@ def judgments_to_dict(js: JudgmentSet) -> dict:
     }
 
 
-def write_judgments(js: JudgmentSet, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(judgments_to_dict(js), fh, indent=2)
-        fh.write("\n")
-
-
 def read_matrix_csv(path: str | Path) -> PairwiseMatrix:
     """Read a comparison matrix from CSV: header row of criteria, one
     labeled row per criterion."""
@@ -381,13 +375,6 @@ def matrix_to_csv_text(matrix: PairwiseMatrix, corner: str = "Importance") -> st
     return buf.getvalue()
 
 
-def write_matrix_csv(
-    matrix: PairwiseMatrix, path: str | Path, corner: str = "Importance"
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(matrix_to_csv_text(matrix, corner))
-
-
 def weight_table_to_csv_text(
     criteria: tuple[str, ...],
     normalized: np.ndarray,
@@ -402,13 +389,3 @@ def weight_table_to_csv_text(
         writer.writerow([label, *[repr(float(v)) for v in row], repr(float(w))])
     return buf.getvalue()
 
-
-def write_weight_table_csv(
-    criteria: tuple[str, ...],
-    normalized: np.ndarray,
-    weights: WeightVector,
-    path: str | Path,
-    corner: str = "Weight",
-) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(weight_table_to_csv_text(criteria, normalized, weights, corner))

@@ -64,24 +64,6 @@ def stamp(payload: dict, inputs: list[str | Path]) -> dict:
     }
 
 
-class SessionStore:
-    """Directory of stamped JSON documents with atomic writes."""
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-
-    def write_json(self, name: str, payload: dict) -> Path:
-        path = self.directory / name
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-        return path
-
-    def write_text(self, name: str, text: str) -> Path:
-        path = self.directory / name
-        atomic_write_text(path, text)
-        return path
-
-
 def load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -179,17 +161,8 @@ def _echo_judgment_summary(js: ahp.JudgmentSet) -> ahp.ConsistencyReport:
     matrix = js.matrix()
     print_matrix_table(matrix, corner="Importance")
     weights, _ = ahp.column_average_weights(matrix)
-    print(
-        "weights: "
-        + " ".join(f"{c}={w:.{DISPLAY_DP}f}" for c, w in weights.as_dict().items())
-    )
     report = ahp.consistency(matrix)
-    print(
-        f"consistency: lambda_max={report.lambda_max:.{DISPLAY_DP}f} "
-        f"CI={report.consistency_index:.{DISPLAY_DP}f} "
-        f"CR={report.consistency_ratio:.{DISPLAY_DP}f} "
-        f"acceptable={'yes' if report.acceptable else 'no'}"
-    )
+    print_weights_and_consistency(weights, report, DISPLAY_DP)
     return report
 
 
@@ -277,6 +250,21 @@ def _print_table(corner, columns, row_labels, rows, dp, extra_col=None):
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
 
 
+def print_weights_and_consistency(
+    weights: ahp.WeightVector, report: ahp.ConsistencyReport, dp: int
+) -> None:
+    print(
+        "weights: "
+        + " ".join(f"{c}={w:.{dp}f}" for c, w in weights.as_dict().items())
+    )
+    print(
+        f"consistency: lambda_max={report.lambda_max:.{DISPLAY_DP}f} "
+        f"CI={report.consistency_index:.{DISPLAY_DP}f} "
+        f"CR={report.consistency_ratio:.{DISPLAY_DP}f} "
+        f"acceptable={'yes' if report.acceptable else 'no'}"
+    )
+
+
 def cmd_ahp_weights(args: argparse.Namespace) -> int:
     if args.matrix and args.judgments:
         raise ValueError("give either judgment files or --matrix, not both")
@@ -311,16 +299,7 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         extra_col=("Average", list(weights.values)),
     )
     print()
-    print(
-        "weights: "
-        + " ".join(f"{c}={w:.{TABLE_DP}f}" for c, w in weights.as_dict().items())
-    )
-    print(
-        f"consistency: lambda_max={report.lambda_max:.{DISPLAY_DP}f} "
-        f"CI={report.consistency_index:.{DISPLAY_DP}f} "
-        f"CR={report.consistency_ratio:.{DISPLAY_DP}f} "
-        f"acceptable={'yes' if report.acceptable else 'no'}"
-    )
+    print_weights_and_consistency(weights, report, TABLE_DP)
 
     payload = stamp(
         {
@@ -342,39 +321,22 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(payload, indent=2))
     if args.out_dir:
-        store = SessionStore(args.out_dir)
-        store.write_json("weights.json", payload)
-        store.write_text("matrix.csv", ahp.matrix_to_csv_text(matrix))
-        store.write_text(
-            "weights.csv",
+        out_dir = Path(args.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write_text(
+            out_dir / "weights.json", json.dumps(payload, indent=2) + "\n"
+        )
+        atomic_write_text(out_dir / "matrix.csv", ahp.matrix_to_csv_text(matrix))
+        atomic_write_text(
+            out_dir / "weights.csv",
             ahp.weight_table_to_csv_text(matrix.criteria, normalized, weights),
         )
-        print(f"wrote weights.json, matrix.csv, weights.csv to {store.directory}")
+        print(f"wrote weights.json, matrix.csv, weights.csv to {out_dir}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # mos
-
-def _mos_payload(
-    sample: composite.QosSample,
-    model: composite.CompositeModel,
-    profile: emodel.CodecProfile,
-) -> dict:
-    components = composite.component_mos(sample, profile)
-    overall = composite.combine(model, components)
-    return {
-        "model": model.name,
-        "profile": profile.name,
-        "sample": {
-            "loss_pct": sample.loss_pct,
-            "delay_ms": sample.delay_ms,
-            "jitter_ms": sample.jitter_ms,
-        },
-        "r_factors": dict(components.r_factors),
-        "mos": {**{c: components[c] for c in model.criteria}, "overall": overall},
-    }
-
 
 def _format_mos_line(payload: dict) -> str:
     mos = payload["mos"]
@@ -397,25 +359,37 @@ def _load_models_config(path: str | None) -> None:
         composite.load_models(path)
 
 
-def _profile_with_overrides(args: argparse.Namespace, config: dict):
-    profile = resolve_profile(effective(args.profile, config, "profile", None))
-    overrides = {}
-    if getattr(args, "jitter_h", None) is not None:
-        overrides["pareto_h"] = args.jitter_h
-    if getattr(args, "jitter_t", None) is not None:
-        overrides["jitter_t_ms"] = args.jitter_t
-    return replace(profile, **overrides) if overrides else profile
-
-
-def cmd_mos(args: argparse.Namespace) -> int:
+def _scoring_options(args: argparse.Namespace):
+    """Config, model and profile from the scoring flags of `mos` and `trace analyze`."""
     config = load_config(args.config)
     _load_models_config(args.models_config)
     model = composite.get_model(
         effective(args.model, config, "model", "paper-5g-ahp")
     )
-    profile = _profile_with_overrides(args, config)
+    profile = resolve_profile(effective(args.profile, config, "profile", None))
+    overrides = {}
+    if args.jitter_h is not None:
+        overrides["pareto_h"] = args.jitter_h
+    if args.jitter_t is not None:
+        overrides["jitter_t_ms"] = args.jitter_t
+    return config, model, replace(profile, **overrides) if overrides else profile
+
+
+def cmd_mos(args: argparse.Namespace) -> int:
+    _, model, profile = _scoring_options(args)
     sample = composite.QosSample(args.loss, args.delay, args.jitter)
-    payload = _mos_payload(sample, model, profile)
+    mos, r_factors = composite.score_row(sample, model, profile)
+    payload = {
+        "model": model.name,
+        "profile": profile.name,
+        "sample": {
+            "loss_pct": sample.loss_pct,
+            "delay_ms": sample.delay_ms,
+            "jitter_ms": sample.jitter_ms,
+        },
+        "r_factors": r_factors,
+        "mos": mos,
+    }
     if args.json:
         print(json.dumps(payload, indent=2, allow_nan=False))
     else:
@@ -466,12 +440,7 @@ def _csv_cell(value, dp: int = DISPLAY_DP) -> str:
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    _load_models_config(args.models_config)
-    model = composite.get_model(
-        effective(args.model, config, "model", "paper-5g-ahp")
-    )
-    profile = _profile_with_overrides(args, config)
+    config, model, profile = _scoring_options(args)
     window_s = effective(args.window, config, "window_s", 10.0)
 
     trace = tracemod.read_trace(args.trace)
@@ -479,8 +448,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
 
     rows = []
     for wm in metrics:
-        components = composite.component_mos(wm.sample, profile)
-        overall = composite.combine(model, components)
+        mos, r_factors = composite.score_row(wm.sample, model, profile)
         rows.append(
             {
                 "window_id": wm.window_id,
@@ -493,11 +461,11 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
                 "loss_pct": wm.sample.loss_pct,
                 "delay_ms": wm.sample.delay_ms,
                 "jitter_ms": wm.sample.jitter_ms,
-                "r_factors": dict(components.r_factors),
-                "mos_loss": components["loss"],
-                "mos_delay": components["delay"],
-                "mos_jitter": components["jitter"],
-                "mos_overall": overall,
+                "r_factors": r_factors,
+                "mos_loss": mos["loss"],
+                "mos_delay": mos["delay"],
+                "mos_jitter": mos["jitter"],
+                "mos_overall": mos["overall"],
             }
         )
 
@@ -600,20 +568,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_weights.add_argument("--json", action="store_true", help="print full JSON")
     p_weights.set_defaults(func=cmd_ahp_weights)
 
-    p_mos = sub.add_parser("mos", help="score one QoS sample")
+    # scoring flags shared by `mos` and `trace analyze`
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--model")
+    scoring.add_argument("--profile")
+    scoring.add_argument(
+        "--jitter-h", type=float, help="override profile heavy-tail shape"
+    )
+    scoring.add_argument(
+        "--jitter-t", type=float, help="override profile buffer size (ms)"
+    )
+    scoring.add_argument("--models-config")
+    scoring.add_argument("--config")
+
+    p_mos = sub.add_parser("mos", parents=[scoring], help="score one QoS sample")
     p_mos.add_argument("--loss", type=float, required=True, help="loss percent")
     p_mos.add_argument("--delay", type=float, required=True, help="one-way ms")
     p_mos.add_argument("--jitter", type=float, default=0.0, help="measured ms")
-    p_mos.add_argument(
-        "--jitter-h", type=float, help="override profile heavy-tail shape"
-    )
-    p_mos.add_argument(
-        "--jitter-t", type=float, help="override profile buffer size (ms)"
-    )
-    p_mos.add_argument("--model")
-    p_mos.add_argument("--profile")
-    p_mos.add_argument("--models-config")
-    p_mos.add_argument("--config")
     p_mos.add_argument("--json", action="store_true")
     p_mos.set_defaults(func=cmd_mos)
 
@@ -626,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=cmd_trace_gen)
 
     p_analyze = trace_sub.add_parser(
-        "analyze", help="windowed metrics and MOS for a trace"
+        "analyze", parents=[scoring], help="windowed metrics and MOS for a trace"
     )
     p_analyze.add_argument("trace", help="trace CSV")
     p_analyze.add_argument("--window", type=float, help="window length (s)")
@@ -635,16 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tracemod.JITTER_ESTIMATORS,
         default="rfc3550",
     )
-    p_analyze.add_argument("--model")
-    p_analyze.add_argument("--profile")
-    p_analyze.add_argument(
-        "--jitter-h", type=float, help="override profile heavy-tail shape"
-    )
-    p_analyze.add_argument(
-        "--jitter-t", type=float, help="override profile buffer size (ms)"
-    )
-    p_analyze.add_argument("--models-config")
-    p_analyze.add_argument("--config")
     p_analyze.add_argument("--out", help="report JSON to write")
     p_analyze.add_argument("--csv", help="plot-ready CSV table to write")
     p_analyze.set_defaults(func=cmd_trace_analyze)

@@ -23,9 +23,6 @@ from .ahp import WeightVector
 from .emodel import (
     G729,
     MOS_MIN,
-    MOS_MAX,
-    PARETO_H_MAX,
-    PARETO_H_MIN,
     CodecProfile,
     delay_impairment,
     jitter_impairment,
@@ -37,8 +34,6 @@ from .emodel import (
 VOICE_CRITERIA = ("loss", "delay", "jitter")
 
 MODEL_SCALES = ("mos-5pt", "normalized-score")
-
-JITTER_MAPPINGS = ("buffer-floor", "pareto-shape")
 
 #: |sum(weights) - 1| above this is accepted with renormalization ...
 WEIGHT_SUM_RENORM = 0.02
@@ -58,7 +53,6 @@ class QosSample:
     loss_pct: float
     delay_ms: float | None
     jitter_ms: float | None
-    window_id: str | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_pct <= 100.0:
@@ -68,40 +62,6 @@ class QosSample:
             value = getattr(self, name)
             if value is not None and not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-
-
-class ComponentMos(Mapping):
-    """Per-criterion MOS values, plus the transmission ratings behind them.
-
-    Behaves as a read-only mapping criterion -> MOS.  ``r_factors`` holds
-    the pre-conversion rating per criterion (None where the component was
-    floored for lack of data).
-    """
-
-    def __init__(
-        self,
-        mos: Mapping[str, float],
-        r_factors: Mapping[str, float | None] | None = None,
-    ) -> None:
-        self._mos = {str(k): float(v) for k, v in mos.items()}
-        for k, v in self._mos.items():
-            if not MOS_MIN <= v <= MOS_MAX:
-                raise ValueError(
-                    f"component {k!r} MOS {v} outside [{MOS_MIN}, {MOS_MAX}]"
-                )
-        self.r_factors: dict[str, float | None] = dict(r_factors or {})
-
-    def __getitem__(self, key: str) -> float:
-        return self._mos[key]
-
-    def __iter__(self):
-        return iter(self._mos)
-
-    def __len__(self) -> int:
-        return len(self._mos)
-
-    def __repr__(self) -> str:
-        return f"ComponentMos({self._mos!r})"
 
 
 @dataclass(frozen=True)
@@ -214,43 +174,22 @@ def combine(model: CompositeModel, components: Mapping[str, float]) -> float:
     return sum(model.weights[c] * float(components[c]) for c in model.criteria)
 
 
-def jitter_adjusted_profile(
-    profile: CodecProfile, jitter_ms: float, mapping: str = "buffer-floor"
-) -> CodecProfile:
-    """Fold a measured jitter magnitude into the profile's jitter term.
-
-    The jitter penalty takes no measured-jitter input of its own, so this
-    mapping is an interpretation and is kept swappable:
-
-    - ``buffer-floor`` (default): raise the buffer parameter to the
-      measured jitter, ``t_ms = max(t_ms, jitter_ms)``.  Jitter within the
-      buffer leaves the penalty at its profile baseline.
-    - ``pareto-shape``: scale the heavy-tail shape linearly from 0.55 to
-      0.9 as jitter grows toward the buffer size, so heavier jitter
-      increases the penalty.
-    """
-    if mapping not in JITTER_MAPPINGS:
-        raise ValueError(f"mapping must be one of {JITTER_MAPPINGS}, got {mapping!r}")
-    if jitter_ms < 0:
-        raise ValueError(f"jitter_ms must be >= 0, got {jitter_ms}")
-    if mapping == "buffer-floor":
-        return replace(profile, jitter_t_ms=max(profile.jitter_t_ms, jitter_ms))
-    scale = profile.jitter_t_ms or profile.jitter_k
-    h = PARETO_H_MIN + (PARETO_H_MAX - PARETO_H_MIN) * min(jitter_ms / scale, 1.0)
-    return replace(profile, pareto_h=h)
-
-
 def component_mos(
-    sample: QosSample,
-    profile: CodecProfile = G729,
-    jitter_mapping: str = "buffer-floor",
-) -> ComponentMos:
+    sample: QosSample, profile: CodecProfile = G729
+) -> tuple[dict[str, float], dict[str, float | None]]:
     """Score each impairment of a sample in isolation.
 
     Each component reduces the shared rating baseline by its own
-    impairment only, then converts to MOS.  Components whose measurement
+    impairment only, then converts to MOS.  Returns the MOS and the
+    transmission rating R per criterion.  Components whose measurement
     is unavailable (None delay/jitter from a degenerate window) floor at
-    MOS 1.0 so windowed timelines stay contiguous.
+    MOS 1.0, with R None, so windowed timelines stay contiguous.
+
+    The jitter term takes no measured-jitter input of its own.  Measured
+    jitter raises the buffer parameter, ``t_ms = max(t_ms, jitter_ms)``
+    ("buffer-floor"): jitter within the buffer leaves the penalty at its
+    profile baseline, and since a larger buffer lowers the penalty,
+    jitter beyond the buffer raises the jitter component.
     """
     mos: dict[str, float] = {}
     r_factors: dict[str, float | None] = {}
@@ -271,19 +210,35 @@ def component_mos(
         mos["jitter"] = MOS_MIN
         r_factors["jitter"] = None
     else:
-        adjusted = jitter_adjusted_profile(profile, sample.jitter_ms, jitter_mapping)
-        r_jitter = profile.r0 - jitter_impairment(adjusted)
+        t_ms = max(profile.jitter_t_ms, sample.jitter_ms)
+        r_jitter = profile.r0 - jitter_impairment(replace(profile, jitter_t_ms=t_ms))
         mos["jitter"] = mos_from_r(r_jitter)
         r_factors["jitter"] = r_jitter
 
-    return ComponentMos(mos, r_factors)
+    return mos, r_factors
+
+
+def score_row(
+    sample: QosSample, model: CompositeModel, profile: CodecProfile = G729
+) -> tuple[dict[str, float], dict[str, float | None]]:
+    """Measured sample -> per-criterion MOS, in model order, plus "overall",
+    and the R per criterion behind them.
+
+    The one scoring path: ``qoekit mos``, each ``trace analyze`` window and
+    :func:`score` all go through it, so a window and the point score of
+    its sample agree exactly.
+    """
+    components, r_factors = component_mos(sample, profile)
+    overall = combine(model, components)
+    mos = {c: components[c] for c in model.criteria}
+    mos["overall"] = overall
+    return mos, r_factors
 
 
 def score(
     sample: QosSample,
     model: CompositeModel,
     profile: CodecProfile = G729,
-    jitter_mapping: str = "buffer-floor",
 ) -> float:
     """End-to-end pipeline: measured sample -> components -> overall MOS."""
     if set(model.criteria) != set(VOICE_CRITERIA):
@@ -291,7 +246,7 @@ def score(
             f"model {model.name!r} is over criteria {list(model.criteria)}; "
             f"sample scoring needs exactly {list(VOICE_CRITERIA)}"
         )
-    return combine(model, component_mos(sample, profile, jitter_mapping))
+    return score_row(sample, model, profile)[0]["overall"]
 
 
 def load_models(path: str | Path) -> list[CompositeModel]:

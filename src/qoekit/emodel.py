@@ -80,15 +80,6 @@ G729 = CodecProfile(
 )
 
 
-def heaviside(x: float) -> float:
-    """Unit step: 1 for x > 0, else 0.
-
-    The value at exactly 0 is immaterial for the delay term because the
-    step is multiplied by a factor that vanishes at the knee.
-    """
-    return 1.0 if x > 0 else 0.0
-
-
 def delay_impairment(delay_ms: float) -> float:
     """Rating penalty for one-way delay in milliseconds.
 
@@ -97,7 +88,7 @@ def delay_impairment(delay_ms: float) -> float:
     if delay_ms < 0:
         raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
     excess = delay_ms - DELAY_KNEE_MS
-    return 0.024 * delay_ms + 0.11 * excess * heaviside(excess)
+    return 0.024 * delay_ms + 0.11 * max(excess, 0.0)
 
 
 def loss_impairment(loss_pct: float, profile: CodecProfile = G729) -> float:

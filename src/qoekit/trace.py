@@ -144,6 +144,9 @@ class ImpairmentSpec:
 
     def __post_init__(self) -> None:
         lo, hi, models = PARETO_H_MIN, PARETO_H_MAX, JITTER_MODELS
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         for ok, message in (
             (0.0 <= self.loss_prob <= 1.0, "loss_prob must be within [0, 1]"),
             (self.base_delay_ms >= 0, "base_delay_ms must be >= 0"),
@@ -256,10 +259,10 @@ def windows(
 ) -> list[WindowMetrics]:
     """Partition a trace by send time into half-open windows and measure each.
 
-    Windows start at the first send time; the jitter recursion restarts in
-    each.  A window with no received packets has None delay and jitter.  The
-    last window is partial when the trace, which ends at the last send plus
-    the nominal interval (if known), does not cover it.
+    Windows start at the earliest send time; the jitter recursion restarts
+    in each.  A window with no received packets has None delay and jitter.
+    The last window is partial when the trace, which ends at the latest send
+    plus the nominal interval (if known), does not cover it.
     """
     if not window_len_s > 0:  # NaN too
         raise ValueError(f"window_len_s must be > 0, got {window_len_s}")
@@ -269,8 +272,8 @@ def windows(
             f"got {jitter_estimator!r}"
         )
     win_ms = window_len_s * 1000.0
-    t0 = trace.send[0].item()
-    coverage_end = trace.send[-1].item() + (trace.interval_ms or 0.0)
+    t0 = trace.send.min().item()
+    coverage_end = trace.send.max().item() + (trace.interval_ms or 0.0)
     window_of = ((trace.send - t0) // win_ms).astype(np.int64)
     n = int(window_of.max()) + 1
     m = window_metrics(trace, window_of, n, jitter_estimator)
@@ -282,7 +285,7 @@ def windows(
         end = start + win_ms
         delay = None if delay != delay else delay
         jitter = None if jitter != jitter else jitter
-        sample = QosSample(loss, delay, jitter, window_id=str(idx))
+        sample = QosSample(loss, delay, jitter)
         lost, partial = expected - received, idx == n - 1 and coverage_end < end
         out.append(
             WindowMetrics(idx, sample, expected, lost, received, start, end, partial)
@@ -385,6 +388,9 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
     nest as "jitter": {"model", "amplitude_ms", "shape", "scale_ms"}."""
     if "rng_seed" not in data:
         raise ValueError("spec is missing required field 'rng_seed'")
+    seed = data["rng_seed"]
+    if isinstance(seed, float) and not math.isfinite(seed):  # int() would raise
+        raise ValueError(f"rng_seed must be an integer, got {seed!r}")
     jitter = data.get("jitter", {"model": "none"})
     if not isinstance(jitter, dict) or "model" not in jitter:
         raise ValueError("spec field 'jitter' must be an object with a 'model'")
@@ -394,7 +400,7 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
             base_delay_ms=float(data["base_delay_ms"]),
             duration_s=float(data["duration_s"]),
             packet_interval_ms=float(data["packet_interval_ms"]),
-            rng_seed=int(data["rng_seed"]),
+            rng_seed=int(seed),
             jitter_model=str(jitter["model"]),
             jitter_amplitude_ms=float(jitter.get("amplitude_ms", 0.0)),
             pareto_shape=float(jitter.get("shape", 0.6)),

@@ -74,10 +74,10 @@ JITTER = {"rfc3550": jitter_rfc3550, "mean-abs": jitter_mean_abs}
 
 
 def windows(packets, window_len_s, jitter_estimator="rfc3550", interval_ms=None):
-    """Bucket by send time from the first packet's send; measure each bucket."""
+    """Bucket by send time from the earliest send; measure each bucket."""
     win_ms = window_len_s * 1000.0
-    t0 = packets[0].send_ts_ms
-    coverage_end = packets[-1].send_ts_ms + (interval_ms or 0.0)
+    t0 = min(p.send_ts_ms for p in packets)
+    coverage_end = max(p.send_ts_ms for p in packets) + (interval_ms or 0.0)
     buckets: dict[int, list] = {}
     for p in packets:
         buckets.setdefault(int((p.send_ts_ms - t0) // win_ms), []).append(p)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,9 +15,8 @@ from qoekit import (
     eigenvector_weights,
     read_judgments,
     read_matrix_csv,
-    write_judgments,
-    write_matrix_csv,
 )
+from qoekit.ahp import judgments_to_dict, matrix_to_csv_text
 from conftest import CRITERIA, REFERENCE_MATRIX
 
 
@@ -281,7 +281,7 @@ def test_judgment_json_roundtrip(tmp_path):
         {("loss", "delay"): 5.0, ("loss", "jitter"): 3.0, ("delay", "jitter"): 1 / 2},
     )
     path = tmp_path / "e9.json"
-    write_judgments(js, path)
+    path.write_text(json.dumps(judgments_to_dict(js), indent=2) + "\n")
     back = read_judgments(path)
     assert back == js
 
@@ -299,7 +299,7 @@ def test_judgment_json_malformed(tmp_path):
 def test_matrix_csv_roundtrip(tmp_path):
     m = PairwiseMatrix(CRITERIA, REFERENCE_MATRIX)
     path = tmp_path / "matrix.csv"
-    write_matrix_csv(m, path)
+    path.write_text(matrix_to_csv_text(m), newline="")
     back = read_matrix_csv(path)
     assert back.criteria == m.criteria
     assert np.array_equal(back.cells, m.cells)

@@ -377,6 +377,17 @@ def test_trace_gen_rejects_out_of_range_shape(tmp_path, capsys):
     code, _, err = run(capsys, "trace", "gen", spec, "--out", str(tmp_path / "t.csv"))
     assert code == 2
     assert "pareto_shape" in err
+    # JSON allows 1e400 (and Infinity), which parse to inf
+    for field, overrides in (
+        ("duration_s", {"duration_s": float("inf")}),
+        ("jitter_amplitude_ms", {"jitter": {"model": "uniform", "amplitude_ms": 1e400}}),
+        ("rng_seed", {"rng_seed": float("inf")}),
+    ):
+        spec = write_spec(tmp_path, **overrides)
+        code, _, err = run(capsys, "trace", "gen", spec, "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert f"{field} must be" in err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_trace_analyze_matches_point_scoring(tmp_path, capsys):

@@ -1,17 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoekit import (
     G729,
     CodecProfile,
-    ComponentMos,
+    CompositeModel,
     PairwiseMatrix,
     QosSample,
+    WeightVector,
     column_average_weights,
     combine,
     component_mos,
     get_model,
-    jitter_adjusted_profile,
     jitter_impairment,
     list_models,
     load_models,
@@ -33,6 +37,8 @@ ZEROED = CodecProfile(
 )
 
 PAPER = get_model("paper-5g-ahp")
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
 
 def test_qos_sample_validation():
@@ -70,6 +76,22 @@ def test_combine_bounded_by_components():
         assert min(comps.values()) - 1e-12 <= got <= max(comps.values()) + 1e-12
 
 
+@PROPERTY_SETTINGS
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(1.0, 4.5)), min_size=1, max_size=8
+    ).filter(lambda pairs: sum(w for w, _ in pairs) > 0)
+)
+def test_combine_within_component_range_for_random_weights(pairs):
+    raw = [w for w, _ in pairs]
+    criteria = tuple(f"c{i}" for i in range(len(pairs)))
+    weights = WeightVector(criteria, [w / sum(raw) for w in raw])
+    components = {c: v for c, (_, v) in zip(criteria, pairs)}
+    got = combine(CompositeModel("random", weights), components)
+    slack = 1e-12 * max(components.values())
+    assert min(components.values()) - slack <= got <= max(components.values()) + slack
+
+
 def test_combine_permutation_invariant():
     comps = {"loss": 2.0, "delay": 4.0, "jitter": 3.0}
     reordered = {"jitter": 3.0, "loss": 2.0, "delay": 4.0}
@@ -98,71 +120,63 @@ def test_combine_criteria_mismatch():
 # component scoring
 
 def test_component_mos_ideal_sample_zeroed_jitter():
-    comps = component_mos(QosSample(0.0, 0.0, 0.0), ZEROED)
+    mos, r_factors = component_mos(QosSample(0.0, 0.0, 0.0), ZEROED)
     # frozen from hand evaluation: loss keeps the codec floor (R=82.2),
     # delay and jitter sit at the clean baseline (R=93.2)
-    assert comps["loss"] == pytest.approx(4.104375064, abs=1e-9)
-    assert comps["delay"] == pytest.approx(4.409285824, abs=1e-9)
-    assert comps["jitter"] == pytest.approx(4.409285824, abs=1e-9)
-    assert comps.r_factors == pytest.approx({"loss": 82.2, "delay": 93.2, "jitter": 93.2})
+    assert mos["loss"] == pytest.approx(4.104375064, abs=1e-9)
+    assert mos["delay"] == pytest.approx(4.409285824, abs=1e-9)
+    assert mos["jitter"] == pytest.approx(4.409285824, abs=1e-9)
+    assert r_factors == pytest.approx({"loss": 82.2, "delay": 93.2, "jitter": 93.2})
 
 
 def test_component_mos_total_loss_floors():
-    comps = component_mos(QosSample(100.0, 0.0, 0.0), ZEROED)
-    assert comps["loss"] == 1.0
-    assert comps.r_factors["loss"] == pytest.approx(-13.716, abs=1e-3)
+    mos, r_factors = component_mos(QosSample(100.0, 0.0, 0.0), ZEROED)
+    assert mos["loss"] == 1.0
+    assert r_factors["loss"] == pytest.approx(-13.716, abs=1e-3)
 
 
 def test_component_mos_monotone_in_loss():
-    at0 = component_mos(QosSample(0.0, 0.0, 0.0), G729)["loss"]
-    at10 = component_mos(QosSample(10.0, 0.0, 0.0), G729)["loss"]
+    at0 = component_mos(QosSample(0.0, 0.0, 0.0), G729)[0]["loss"]
+    at10 = component_mos(QosSample(10.0, 0.0, 0.0), G729)[0]["loss"]
     assert at10 < at0
 
 
+@PROPERTY_SETTINGS
+@given(
+    loss=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)).map(sorted),
+    delay=st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)).map(sorted),
+    jitter=st.floats(0.0, 500.0),
+)
+def test_component_mos_non_increasing_in_loss_and_delay(loss, delay, jitter):
+    # jitter is left out on purpose: the buffer-floor mapping raises the
+    # jitter component beyond the buffer (test_jitter_mapping_buffer_floor)
+    low, _ = component_mos(QosSample(loss[0], delay[0], jitter), G729)
+    high, _ = component_mos(QosSample(loss[1], delay[1], jitter), G729)
+    assert high["loss"] <= low["loss"]
+    assert high["delay"] <= low["delay"]
+
+
 def test_component_mos_unavailable_measurements_floor():
-    comps = component_mos(QosSample(100.0, None, None), G729)
-    assert comps["loss"] == 1.0
-    assert comps["delay"] == 1.0
-    assert comps["jitter"] == 1.0
-    assert comps.r_factors["delay"] is None
-    assert comps.r_factors["jitter"] is None
-
-
-def test_component_mos_validates_range():
-    with pytest.raises(ValueError, match="outside"):
-        ComponentMos({"loss": 0.5})
+    mos, r_factors = component_mos(QosSample(100.0, None, None), G729)
+    assert mos["loss"] == 1.0
+    assert mos["delay"] == 1.0
+    assert mos["jitter"] == 1.0
+    assert r_factors["delay"] is None
+    assert r_factors["jitter"] is None
 
 
 def test_jitter_mapping_buffer_floor():
-    # within the buffer the profile is untouched
-    assert jitter_adjusted_profile(G729, 10.0) == G729
-    heavier = jitter_adjusted_profile(G729, 200.0)
-    assert heavier.jitter_t_ms == 200.0
+    # within the buffer the jitter term is the profile's own
+    within = component_mos(QosSample(0.0, 0.0, 10.0), G729)[1]["jitter"]
+    assert within == G729.r0 - jitter_impairment(G729)
+    # beyond it the buffer parameter rises to the measured jitter
+    beyond = component_mos(QosSample(0.0, 0.0, 200.0), G729)[1]["jitter"]
+    heavier = replace(G729, jitter_t_ms=200.0)
+    assert beyond == G729.r0 - jitter_impairment(heavier)
     # documented orientation: a larger buffer parameter lowers the jitter
     # penalty, so this mapping raises the jitter component beyond the buffer
     assert jitter_impairment(heavier) < jitter_impairment(G729)
-
-
-def test_jitter_mapping_pareto_shape_penalizes():
-    light = jitter_adjusted_profile(G729, 0.0, mapping="pareto-shape")
-    heavy = jitter_adjusted_profile(G729, 200.0, mapping="pareto-shape")
-    assert light.pareto_h == pytest.approx(0.55)
-    assert heavy.pareto_h == pytest.approx(0.9)
-    assert jitter_impairment(heavy) > jitter_impairment(light)
-    mos_light = component_mos(
-        QosSample(0.0, 0.0, 0.0), G729, jitter_mapping="pareto-shape"
-    )["jitter"]
-    mos_heavy = component_mos(
-        QosSample(0.0, 0.0, 200.0), G729, jitter_mapping="pareto-shape"
-    )["jitter"]
-    assert mos_heavy < mos_light
-
-
-def test_jitter_mapping_validation():
-    with pytest.raises(ValueError, match="mapping"):
-        jitter_adjusted_profile(G729, 1.0, mapping="nope")
-    with pytest.raises(ValueError, match=">= 0"):
-        jitter_adjusted_profile(G729, -1.0)
+    assert beyond > within
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from qoekit import (
     G729,
     CodecProfile,
     delay_impairment,
-    heaviside,
     jitter_impairment,
     load_profile,
     loss_impairment,
@@ -30,12 +29,6 @@ def zeroed_jitter_profile(**overrides):
     )
     fields.update(overrides)
     return CodecProfile(**fields)
-
-
-def test_heaviside():
-    assert heaviside(-1.0) == 0.0
-    assert heaviside(0.0) == 0.0
-    assert heaviside(22.7) == 1.0
 
 
 def test_delay_impairment_points():

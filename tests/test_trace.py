@@ -191,6 +191,18 @@ def test_windows_partitioning():
     assert not any(w.partial for w in wins)
 
 
+def test_windows_start_at_earliest_send():
+    # a row sent before the first row still falls in a window
+    packets = (
+        PacketRecord(1, 100.0, 110.0),
+        PacketRecord(2, 50.0, 60.0),
+        PacketRecord(3, 120.0, 130.0),
+    )
+    (win,) = windows(Trace(packets, interval_ms=20.0), 1.0)
+    assert (win.start_ms, win.received_count, win.sample.loss_pct) == (50.0, 3, 0.0)
+    assert win.partial  # coverage ends at the latest send, 140 ms
+
+
 def test_windows_short_trace_is_single_partial():
     trace = generate(uniform_spec(duration_s=4.0))
     wins = windows(trace, 10.0)
@@ -292,6 +304,10 @@ def test_impairment_spec_validation_names_fields():
         uniform_spec(jitter_model="pareto", pareto_shape=0.95)
     with pytest.raises(ValueError, match="jitter_model"):
         uniform_spec(jitter_model="gauss")
+    with pytest.raises(ValueError, match="duration_s must be finite"):
+        uniform_spec(duration_s=float("inf"))
+    with pytest.raises(ValueError, match="jitter_amplitude_ms must be finite"):
+        uniform_spec(jitter_model="uniform", jitter_amplitude_ms=float("inf"))
     with pytest.raises(ValueError, match="rng_seed"):
         spec_from_dict(
             {
