@@ -132,8 +132,13 @@ class PairwiseMatrix:
             raise ValueError(
                 f"cells must be {n}x{n} for {n} criteria, got {cells.shape}"
             )
-        if not np.all(cells > 0):
-            raise ValueError("all matrix cells must be positive")
+        bad = np.argwhere(~(np.isfinite(cells) & (cells > 0)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"matrix cell ({self.criteria[i]}, {self.criteria[j]}) must be "
+                f"finite and positive, got {cells[i, j].item()!r}"
+            )
         if not np.all(np.diag(cells) == 1.0):
             raise ValueError("matrix diagonal must be exactly 1")
         cells.setflags(write=False)
@@ -238,10 +243,9 @@ def column_average_weights(
     return WeightVector(matrix.criteria, tuple(weights)), normalized
 
 
-def _power_iteration(
-    cells: np.ndarray, tol: float, max_iter: int
-) -> tuple[np.ndarray, float]:
+def _power_iteration(cells: np.ndarray) -> tuple[np.ndarray, float]:
     """Principal right eigenvector and eigenvalue of a positive matrix."""
+    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER  # read per call, not bound at import
     n = cells.shape[0]
     x = np.full(n, 1.0 / n)
     for _ in range(max_iter):
@@ -256,27 +260,17 @@ def _power_iteration(
     )
 
 
-def eigenvector_weights(
-    matrix: PairwiseMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> WeightVector:
+def eigenvector_weights(matrix: PairwiseMatrix) -> WeightVector:
     """Derive weights as the normalized principal right eigenvector.
 
     Power iteration converges for any positive matrix, reciprocal or not.
     Raises :class:`ConvergenceError` if the iteration budget is exhausted.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    vec, _ = _power_iteration(matrix.cells, tol, max_iter)
+    vec, _ = _power_iteration(matrix.cells)
     return WeightVector(matrix.criteria, tuple(vec))
 
 
-def consistency(
-    matrix: PairwiseMatrix,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> ConsistencyReport:
+def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
     """Consistency ratio of a comparison matrix.
 
     CI = (lambda_max - n)/(n - 1), CR = CI/RI(n) against the standard
@@ -286,7 +280,7 @@ def consistency(
     n = matrix.n
     if n < 2:
         raise ValueError("consistency requires at least 2 criteria")
-    _, lam = _power_iteration(matrix.cells, tol, max_iter)
+    _, lam = _power_iteration(matrix.cells)
     ci = (lam - n) / (n - 1)
     ri = RANDOM_INDEX.get(n, RANDOM_INDEX[10])
     cr = 0.0 if ri == 0.0 else ci / ri
@@ -365,11 +359,11 @@ def read_matrix_csv(path: str | Path) -> PairwiseMatrix:
     return PairwiseMatrix(criteria, cells)
 
 
-def matrix_to_csv_text(matrix: PairwiseMatrix, corner: str = "Importance") -> str:
+def matrix_to_csv_text(matrix: PairwiseMatrix) -> str:
     """Render a matrix as CSV with labeled rows and columns, full precision."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([corner, *matrix.criteria])
+    writer.writerow(["Importance", *matrix.criteria])
     for label, row in zip(matrix.criteria, matrix.cells):
         writer.writerow([label, *[repr(float(v)) for v in row]])
     return buf.getvalue()
@@ -379,12 +373,11 @@ def weight_table_to_csv_text(
     criteria: tuple[str, ...],
     normalized: np.ndarray,
     weights: WeightVector,
-    corner: str = "Weight",
 ) -> str:
     """Render the normalized table plus a trailing per-row Average column."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow([corner, *criteria, "Average"])
+    writer.writerow(["Weight", *criteria, "Average"])
     for label, row, w in zip(criteria, normalized, weights.values):
         writer.writerow([label, *[repr(float(v)) for v in row], repr(float(w))])
     return buf.getvalue()

@@ -53,6 +53,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def json_text(payload) -> str:
+    """The rendering of every JSON output; NaN and infinity raise."""
+    return json.dumps(payload, indent=2, allow_nan=False)
+
+
 def stamp(payload: dict, inputs: list[str | Path]) -> dict:
     """Prefix a report payload with tool version and input hashes."""
     return {
@@ -159,7 +164,7 @@ class _AnswerSource:
 
 def _echo_judgment_summary(js: ahp.JudgmentSet) -> ahp.ConsistencyReport:
     matrix = js.matrix()
-    print_matrix_table(matrix, corner="Importance")
+    _print_table("Importance", matrix.criteria, matrix.cells.tolist())
     weights, _ = ahp.column_average_weights(matrix)
     report = ahp.consistency(matrix)
     print_weights_and_consistency(weights, report, DISPLAY_DP)
@@ -219,9 +224,7 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
         js = ahp.JudgmentSet(args.evaluator_id, criteria, judgments)
         report = _echo_judgment_summary(js)
 
-    atomic_write_text(
-        args.out, json.dumps(ahp.judgments_to_dict(js), indent=2) + "\n"
-    )
+    atomic_write_text(args.out, json_text(ahp.judgments_to_dict(js)) + "\n")
     print(f"saved judgment set to {args.out}")
     return EXIT_OK
 
@@ -229,21 +232,14 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # ahp weights
 
-def print_matrix_table(
-    matrix: ahp.PairwiseMatrix, corner: str, dp: int = TABLE_DP
-) -> None:
-    _print_table(
-        corner, matrix.criteria, matrix.criteria, matrix.cells.tolist(), dp
-    )
-
-
-def _print_table(corner, columns, row_labels, rows, dp, extra_col=None):
-    header = [corner, *columns] + ([extra_col[0]] if extra_col else [])
+def _print_table(corner, criteria, rows, extra_col=None):
+    """A criteria-by-criteria table at TABLE_DP, plus an optional extra column."""
+    header = [corner, *criteria] + ([extra_col[0]] if extra_col else [])
     body = []
-    for i, (label, row) in enumerate(zip(row_labels, rows)):
-        cells = [f"{v:.{dp}f}" for v in row]
+    for i, (label, row) in enumerate(zip(criteria, rows)):
+        cells = [f"{v:.{TABLE_DP}f}" for v in row]
         if extra_col:
-            cells.append(f"{extra_col[1][i]:.{dp}f}")
+            cells.append(f"{extra_col[1][i]:.{TABLE_DP}f}")
         body.append([label, *cells])
     widths = [max(len(r[c]) for r in [header, *body]) for c in range(len(header))]
     for r in [header, *body]:
@@ -288,14 +284,12 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         weights = ahp.eigenvector_weights(matrix)
     report = ahp.consistency(matrix)
 
-    print_matrix_table(matrix, corner="Importance")
+    _print_table("Importance", matrix.criteria, matrix.cells.tolist())
     print()
     _print_table(
         "Weight",
         matrix.criteria,
-        matrix.criteria,
         normalized.tolist(),
-        TABLE_DP,
         extra_col=("Average", list(weights.values)),
     )
     print()
@@ -319,13 +313,11 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         inputs,
     )
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(
-            out_dir / "weights.json", json.dumps(payload, indent=2) + "\n"
-        )
+        atomic_write_text(out_dir / "weights.json", json_text(payload) + "\n")
         atomic_write_text(out_dir / "matrix.csv", ahp.matrix_to_csv_text(matrix))
         atomic_write_text(
             out_dir / "weights.csv",
@@ -354,15 +346,11 @@ def _format_mos_line(payload: dict) -> str:
     return " ".join(parts)
 
 
-def _load_models_config(path: str | None) -> None:
-    if path:
-        composite.load_models(path)
-
-
 def _scoring_options(args: argparse.Namespace):
     """Config, model and profile from the scoring flags of `mos` and `trace analyze`."""
     config = load_config(args.config)
-    _load_models_config(args.models_config)
+    if args.models_config:
+        composite.load_models(args.models_config)
     model = composite.get_model(
         effective(args.model, config, "model", "paper-5g-ahp")
     )
@@ -391,7 +379,7 @@ def cmd_mos(args: argparse.Namespace) -> int:
         "mos": mos,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        print(json_text(payload))
     else:
         print(_format_mos_line(payload))
     return EXIT_OK
@@ -431,11 +419,11 @@ REPORT_CSV_COLUMNS = (
 )
 
 
-def _csv_cell(value, dp: int = DISPLAY_DP) -> str:
+def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return f"{value:.{dp}f}"
+        return f"{value:.{DISPLAY_DP}f}"
     return str(value)
 
 
@@ -497,8 +485,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
     )
 
     if args.out:
-        report = json.dumps(payload, indent=2, allow_nan=False)
-        atomic_write_text(args.out, report + "\n")
+        atomic_write_text(args.out, json_text(payload) + "\n")
         print(f"wrote report to {args.out}")
     if args.csv:
         lines = [",".join(REPORT_CSV_COLUMNS), *(",".join(row) for row in cells)]
@@ -511,7 +498,8 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
 # models list
 
 def cmd_models_list(args: argparse.Namespace) -> int:
-    _load_models_config(args.models_config)
+    if args.models_config:
+        composite.load_models(args.models_config)
     for model in composite.list_models():
         weights = " ".join(
             f"{c}={w:.{DISPLAY_DP}f}" for c, w in model.weights.as_dict().items()

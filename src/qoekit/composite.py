@@ -89,37 +89,34 @@ _REGISTRY: dict[str, CompositeModel] = {}
 def register_model(
     name: str,
     weights,
-    criteria: tuple[str, ...] | None = None,
+    criteria: tuple[str, ...],
     scale: str = "mos-5pt",
 ) -> CompositeModel:
     """Register a named model, validating that its weights sum to 1.
 
-    ``weights`` may be a :class:`WeightVector` or a sequence paired with
-    ``criteria``.  A sum within 1e-6 of 1 is accepted as given; a sum off
-    by up to 0.02 (two-decimal table rounding) is renormalized with a
-    warning; anything further off is rejected.
+    ``weights`` is a sequence paired with ``criteria``.  A sum within 1e-6
+    of 1 is accepted as given; a sum off by up to 0.02 (two-decimal table
+    rounding) is renormalized with a warning; anything further off is
+    rejected.
     """
     if name in _REGISTRY:
         raise ValueError(f"model {name!r} is already registered")
-    if not isinstance(weights, WeightVector):
-        if criteria is None:
-            raise ValueError("criteria are required when weights is a sequence")
-        values = tuple(float(v) for v in weights)
-        total = sum(values)
-        if abs(total - 1.0) <= WEIGHT_SUM_EXACT:
-            pass
-        elif abs(total - 1.0) <= WEIGHT_SUM_RENORM:
-            warnings.warn(
-                f"model {name!r}: weights sum to {total:.6f}; renormalizing",
-                stacklevel=2,
-            )
-            values = tuple(v / total for v in values)
-        else:
-            raise ValueError(
-                f"model {name!r}: weights sum to {total:.6f}, "
-                f"more than {WEIGHT_SUM_RENORM} away from 1"
-            )
-        weights = WeightVector(tuple(criteria), values)
+    values = tuple(float(v) for v in weights)
+    total = sum(values)
+    if abs(total - 1.0) <= WEIGHT_SUM_EXACT:
+        pass
+    elif abs(total - 1.0) <= WEIGHT_SUM_RENORM:
+        warnings.warn(
+            f"model {name!r}: weights sum to {total:.6f}; renormalizing",
+            stacklevel=2,
+        )
+        values = tuple(v / total for v in values)
+    else:
+        raise ValueError(
+            f"model {name!r}: weights sum to {total:.6f}, "
+            f"more than {WEIGHT_SUM_RENORM} away from 1"
+        )
+    weights = WeightVector(tuple(criteria), values)
     model = CompositeModel(name=name, weights=weights, scale=scale)
     _REGISTRY[name] = model
     return model

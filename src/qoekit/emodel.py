@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 MOS_MIN = 1.0
@@ -120,21 +121,6 @@ def jitter_impairment(profile: CodecProfile = G729) -> float:
     )
 
 
-def r_simplified(
-    delay_ms: float, loss_pct: float, profile: CodecProfile = G729
-) -> float:
-    """Transmission rating: baseline minus delay, loss and jitter penalties.
-
-    The result may be negative or exceed 100; :func:`mos_from_r` clamps.
-    """
-    return (
-        profile.r0
-        - delay_impairment(delay_ms)
-        - loss_impairment(loss_pct, profile)
-        - jitter_impairment(profile)
-    )
-
-
 def mos_from_r(r: float) -> float:
     """Convert a 100-point transmission rating to the 5-point MOS scale.
 
@@ -150,46 +136,38 @@ def mos_from_r(r: float) -> float:
     return min(MOS_MAX, max(MOS_MIN, raw))
 
 
+def json_number(value, field: str, integer: bool = False) -> float | int:
+    """A finite JSON number as float (an int with ``integer``), else a
+    ValueError naming ``field``: null, booleans, strings and overflow fail."""
+    kind, types = ("an integer", int) if integer else ("a finite number", (int, float))
+    if isinstance(value, types) and not isinstance(value, bool):
+        if integer or abs(value) <= sys.float_info.max:  # NaN compares false
+            return value if integer else float(value)
+    raise ValueError(f"{field} must be {kind}, got {value!r}")
+
+
 def profile_from_dict(data: dict) -> CodecProfile:
     """Build a profile from the JSON layout {name, r0, loss:{...}, jitter:{...}}."""
     try:
         loss = data["loss"]
         jitter = data["jitter"]
-        return CodecProfile(
-            name=str(data["name"]),
-            r0=float(data["r0"]),
-            loss_a=float(loss["a"]),
-            loss_b=float(loss["b"]),
-            loss_c=float(loss["c"]),
-            jitter_c1=float(jitter["c1"]),
-            jitter_c2=float(jitter["c2"]),
-            jitter_c3=float(jitter["c3"]),
-            jitter_c4=float(jitter["c4"]),
-            pareto_h=float(jitter.get("h", G729.pareto_h)),
-            jitter_t_ms=float(jitter.get("t_ms", G729.jitter_t_ms)),
-            jitter_k=float(jitter.get("k", G729.jitter_k)),
-        )
+        fields = {
+            "r0": data["r0"],
+            "loss_a": loss["a"],
+            "loss_b": loss["b"],
+            "loss_c": loss["c"],
+            "jitter_c1": jitter["c1"],
+            "jitter_c2": jitter["c2"],
+            "jitter_c3": jitter["c3"],
+            "jitter_c4": jitter["c4"],
+            "pareto_h": jitter.get("h", G729.pareto_h),
+            "jitter_t_ms": jitter.get("t_ms", G729.jitter_t_ms),
+            "jitter_k": jitter.get("k", G729.jitter_k),
+        }
+        name = str(data["name"])
     except KeyError as exc:
         raise ValueError(f"profile is missing required field {exc}") from exc
-
-
-def profile_to_dict(profile: CodecProfile) -> dict:
-    """Inverse of :func:`profile_from_dict`."""
-    d = asdict(profile)
-    return {
-        "name": d["name"],
-        "r0": d["r0"],
-        "loss": {"a": d["loss_a"], "b": d["loss_b"], "c": d["loss_c"]},
-        "jitter": {
-            "c1": d["jitter_c1"],
-            "c2": d["jitter_c2"],
-            "c3": d["jitter_c3"],
-            "c4": d["jitter_c4"],
-            "h": d["pareto_h"],
-            "t_ms": d["jitter_t_ms"],
-            "k": d["jitter_k"],
-        },
-    }
+    return CodecProfile(name, **{f: json_number(v, f) for f, v in fields.items()})
 
 
 def load_profile(path: str | Path) -> CodecProfile:

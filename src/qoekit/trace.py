@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .composite import QosSample
-from .emodel import PARETO_H_MAX, PARETO_H_MIN
+from .emodel import PARETO_H_MAX, PARETO_H_MIN, json_number
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
 JITTER_ESTIMATORS = ("rfc3550", "mean-abs")
@@ -84,7 +84,7 @@ class Trace:
     """
 
     def __init__(
-        self, packets=(), source: str = "", interval_ms: float | None = None,
+        self, packets=(), interval_ms: float | None = None,
         *, columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         if columns is None:
@@ -100,7 +100,7 @@ class Trace:
         for column in columns:
             column.flags.writeable = False
         self.seq, self.send, self.recv = columns
-        self.source, self.interval_ms = source, interval_ms
+        self.interval_ms = interval_ms
 
     @property
     def packets(self) -> tuple[PacketRecord, ...]:
@@ -210,48 +210,43 @@ def window_metrics(
     return WindowColumns(sent, expected, received, loss, delay_ms, jitter)
 
 
-def _whole(trace: Trace, window, field: str, estimator="rfc3550") -> float:
-    """One metric over the whole trace, or over the sends in [start, end)."""
-    if window is None:
-        window_of = np.zeros_like(trace.seq)
-    else:
-        start, end = window
-        window_of = np.where((start <= trace.send) & (trace.send < end), 0, -1)
-    m = window_metrics(trace, window_of, 1, estimator)
+def _whole(trace: Trace, field: str, estimator="rfc3550") -> float:
+    """One metric over the whole trace."""
+    m = window_metrics(trace, np.zeros_like(trace.seq), 1, estimator)
     value = getattr(m, field)[0].item()
-    if not m.sent[0] or value != value:
-        raise ValueError({
-            "loss_pct": f"window {window} contains no packets",
-            "delay_ms": f"window {window} has no received packets",
-        }.get(field, "jitter needs at least 2 received packets"))
+    if value != value:
+        raise ValueError(
+            "trace has no received packets" if field == "delay_ms"
+            else "jitter needs at least 2 received packets"
+        )
     return value
 
 
-def loss_rate(trace: Trace, window: tuple[float, float] | None = None) -> float:
-    """Packet loss percentage over a [start, end) send-time window.
+def loss_rate(trace: Trace) -> float:
+    """Packet loss percentage over the whole trace.
 
     Expected is the seq span, so an absent seq counts as lost.
     """
-    return _whole(trace, window, "loss_pct")
+    return _whole(trace, "loss_pct")
 
 
-def mean_delay(trace: Trace, window: tuple[float, float] | None = None) -> float:
-    """Mean one-way delay in ms over received packets in the window."""
-    return _whole(trace, window, "delay_ms")
+def mean_delay(trace: Trace) -> float:
+    """Mean one-way delay in ms over received packets."""
+    return _whole(trace, "delay_ms")
 
 
-def jitter_rfc3550(trace: Trace, window: tuple[float, float] | None = None) -> float:
+def jitter_rfc3550(trace: Trace) -> float:
     """Smoothed interarrival jitter over consecutive received packets.
 
     D is the transit-time difference of each pair; returns the final J of
     J += (|D| - J)/16 from J = 0, in ms.
     """
-    return _whole(trace, window, "jitter_ms", "rfc3550")
+    return _whole(trace, "jitter_ms", "rfc3550")
 
 
-def jitter_mean_abs(trace: Trace, window: tuple[float, float] | None = None) -> float:
+def jitter_mean_abs(trace: Trace) -> float:
     """Mean absolute transit-time difference over consecutive received pairs."""
-    return _whole(trace, window, "jitter_ms", "mean-abs")
+    return _whole(trace, "jitter_ms", "mean-abs")
 
 
 def windows(
@@ -315,7 +310,6 @@ def generate(spec: ImpairmentSpec) -> Trace:
     delays = [nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)]
     send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
     return Trace(
-        source=f"generated(seed={spec.rng_seed})",
         interval_ms=spec.packet_interval_ms,
         columns=(np.arange(1, count + 1), send, send + np.array(delays)),
     )
@@ -334,16 +328,11 @@ def trace_to_csv_text(trace: Trace) -> str:
     return "".join(parts)
 
 
-def write_trace(trace: Trace, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(trace_to_csv_text(trace))
-
-
-def read_trace(path: str | Path, interval_ms: float | None = None) -> Trace:
+def read_trace(path: str | Path) -> Trace:
     """Read a CSV trace, naming the line of a malformed row; skip blank rows.
 
-    Unless ``interval_ms`` is given, the nominal inter-packet interval is
-    the median send-time delta (None for single-packet traces).
+    The nominal inter-packet interval is the median send-time delta (None
+    for single-packet traces).
     """
     seq, send, recv, blank = [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -377,10 +366,11 @@ def read_trace(path: str | Path, interval_ms: float | None = None) -> Trace:
         i = next(i for i, q in enumerate(seq) if not -(2**63) <= q < 2**63)
         raise ValueError(f"{path}: line {lines[i]}: seq {seq[i]} is too large") from None
     _check_columns(*columns, where=lambda i: f"{path}: line {lines[i]}: ")
-    if interval_ms is None and len(seq) > 1:
+    interval_ms = None
+    if len(seq) > 1:
         deltas = np.diff(columns[1])
         interval_ms = np.partition(deltas, len(deltas) // 2)[len(deltas) // 2].item()
-    return Trace(source=str(path), interval_ms=interval_ms, columns=columns)
+    return Trace(interval_ms=interval_ms, columns=columns)
 
 
 def spec_from_dict(data: dict) -> ImpairmentSpec:
@@ -388,26 +378,26 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
     nest as "jitter": {"model", "amplitude_ms", "shape", "scale_ms"}."""
     if "rng_seed" not in data:
         raise ValueError("spec is missing required field 'rng_seed'")
-    seed = data["rng_seed"]
-    if isinstance(seed, float) and not math.isfinite(seed):  # int() would raise
-        raise ValueError(f"rng_seed must be an integer, got {seed!r}")
     jitter = data.get("jitter", {"model": "none"})
     if not isinstance(jitter, dict) or "model" not in jitter:
         raise ValueError("spec field 'jitter' must be an object with a 'model'")
     try:
-        return ImpairmentSpec(
-            loss_prob=float(data["loss_prob"]),
-            base_delay_ms=float(data["base_delay_ms"]),
-            duration_s=float(data["duration_s"]),
-            packet_interval_ms=float(data["packet_interval_ms"]),
-            rng_seed=int(seed),
-            jitter_model=str(jitter["model"]),
-            jitter_amplitude_ms=float(jitter.get("amplitude_ms", 0.0)),
-            pareto_shape=float(jitter.get("shape", 0.6)),
-            pareto_scale_ms=float(jitter.get("scale_ms", 0.0)),
-        )
+        fields = {
+            "loss_prob": data["loss_prob"],
+            "base_delay_ms": data["base_delay_ms"],
+            "duration_s": data["duration_s"],
+            "packet_interval_ms": data["packet_interval_ms"],
+            "jitter_amplitude_ms": jitter.get("amplitude_ms", 0.0),
+            "pareto_shape": jitter.get("shape", 0.6),
+            "pareto_scale_ms": jitter.get("scale_ms", 0.0),
+        }
     except KeyError as exc:
         raise ValueError(f"spec is missing required field {exc}") from exc
+    return ImpairmentSpec(
+        rng_seed=json_number(data["rng_seed"], "rng_seed", integer=True),
+        jitter_model=str(jitter["model"]),
+        **{name: json_number(value, name) for name, value in fields.items()},
+    )
 
 
 def load_impairment_spec(path: str | Path) -> ImpairmentSpec:

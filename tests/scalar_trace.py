@@ -26,31 +26,21 @@ class ScalarWindow:
     partial: bool
 
 
-def _in_window(packets, window):
-    if window is None:
-        return list(packets)
-    start, end = window
-    return [p for p in packets if start <= p.send_ts_ms < end]
-
-
-def loss_rate(packets, window=None) -> float:
-    packets = _in_window(packets, window)
-    if not packets:
-        raise ValueError(f"window {window} contains no packets")
+def loss_rate(packets) -> float:
     expected = packets[-1].seq - packets[0].seq + 1
     received = sum(1 for p in packets if p.received)
     return 100.0 * (expected - received) / expected
 
 
-def mean_delay(packets, window=None) -> float:
-    delays = [p.delay_ms for p in _in_window(packets, window) if p.received]
+def mean_delay(packets) -> float:
+    delays = [p.delay_ms for p in packets if p.received]
     if not delays:
-        raise ValueError(f"window {window} has no received packets")
+        raise ValueError("trace has no received packets")
     return sum(delays) / len(delays)
 
 
-def jitter_rfc3550(packets, window=None) -> float:
-    received = [p for p in _in_window(packets, window) if p.received]
+def jitter_rfc3550(packets) -> float:
+    received = [p for p in packets if p.received]
     if len(received) < 2:
         raise ValueError("jitter needs at least 2 received packets")
     j = 0.0
@@ -60,8 +50,8 @@ def jitter_rfc3550(packets, window=None) -> float:
     return j
 
 
-def jitter_mean_abs(packets, window=None) -> float:
-    received = [p for p in _in_window(packets, window) if p.received]
+def jitter_mean_abs(packets) -> float:
+    received = [p for p in packets if p.received]
     if len(received) < 2:
         raise ValueError("jitter needs at least 2 received packets")
     diffs = [

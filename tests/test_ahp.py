@@ -180,10 +180,12 @@ def test_eigenvector_recovers_random_weights():
         assert np.max(np.abs(got - w / w.sum())) < 1e-9
 
 
-def test_eigenvector_nonconvergence_reported():
+def test_eigenvector_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr("qoekit.ahp.DEFAULT_TOL", 1e-15)
+    monkeypatch.setattr("qoekit.ahp.DEFAULT_MAX_ITER", 2)
     m = PairwiseMatrix(CRITERIA, REFERENCE_MATRIX)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        eigenvector_weights(m, tol=1e-15, max_iter=2)
+        eigenvector_weights(m)
 
 
 def test_methods_agree_on_consistent_matrices():

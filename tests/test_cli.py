@@ -232,7 +232,7 @@ def test_weights_missing_file_is_io_error(capsys):
 def test_weights_nonconvergence_exit_code(capsys, monkeypatch):
     from qoekit import ahp as ahp_module
 
-    def never_converges(matrix, tol=1e-10, max_iter=10_000):
+    def never_converges(matrix):
         raise ahp_module.ConvergenceError("power iteration did not converge")
 
     monkeypatch.setattr("qoekit.cli.ahp.eigenvector_weights", never_converges)
@@ -241,6 +241,16 @@ def test_weights_nonconvergence_exit_code(capsys, monkeypatch):
     )
     assert code == 4
     assert "converge" in err
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+def test_weights_rejects_non_finite_matrix_cell(tmp_path, capsys, cell):
+    path = tmp_path / "matrix.csv"
+    path.write_text(Path(MATRIX_CSV).read_text().replace("5.74", cell))
+    code, out, err = run(capsys, "ahp", "weights", "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"matrix cell (loss, delay) must be finite and positive, got {cell}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +312,33 @@ def test_mos_rejects_non_finite_input(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert f"{flag[2:]}_ms must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "block, key, value, field",
+    [
+        ("loss", "b", "NaN", "loss_b"),
+        ("jitter", "c4", "Infinity", "jitter_c4"),
+        ("jitter", "h", "null", "pareto_h"),
+        ("loss", "a", "true", "loss_a"),
+        ("jitter", "c1", '"-15.5"', "jitter_c1"),
+        ("loss", "c", "1" + "0" * 400, "loss_c"),
+    ],
+    ids=["nan", "infinity", "null", "boolean", "string", "overflow"],
+)
+def test_mos_rejects_non_numeric_profile_field(
+    tmp_path, capsys, block, key, value, field
+):
+    doc = json.loads(Path(ZEROED_PROFILE).read_text())
+    doc[block][key] = "PLACEHOLDER"
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc).replace('"PLACEHOLDER"', value))
+    code, out, err = run(
+        capsys, "mos", "--loss", "1", "--delay", "50", "--profile", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"{field} must be a finite number" in err
 
 
 def test_mos_jitter_overrides(capsys):
@@ -382,6 +419,12 @@ def test_trace_gen_rejects_out_of_range_shape(tmp_path, capsys):
         ("duration_s", {"duration_s": float("inf")}),
         ("jitter_amplitude_ms", {"jitter": {"model": "uniform", "amplitude_ms": 1e400}}),
         ("rng_seed", {"rng_seed": float("inf")}),
+        # null, booleans, ints beyond the float range and fractional seeds
+        ("loss_prob", {"loss_prob": None}),
+        ("duration_s", {"duration_s": 10**400}),
+        ("base_delay_ms", {"base_delay_ms": True}),
+        ("rng_seed", {"rng_seed": 1.7}),
+        ("pareto_scale_ms", {"jitter": {"model": "pareto", "scale_ms": "2"}}),
     ):
         spec = write_spec(tmp_path, **overrides)
         code, _, err = run(capsys, "trace", "gen", spec, "--out", str(tmp_path / "t.csv"))

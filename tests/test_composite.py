@@ -263,7 +263,7 @@ def test_register_rejects_duplicate(model_registry):
 
 def test_register_weights_from_reference_matrix(model_registry):
     weights, _ = column_average_weights(PairwiseMatrix(CRITERIA, REFERENCE_MATRIX))
-    model = register_model("derived", weights)
+    model = register_model("derived", weights.values, weights.criteria)
     for criterion in CRITERIA:
         assert model.weights[criterion] == pytest.approx(
             PAPER.weights[criterion], abs=0.005

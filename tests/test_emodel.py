@@ -1,4 +1,7 @@
+import copy
+import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -10,9 +13,20 @@ from qoekit import (
     load_profile,
     loss_impairment,
     mos_from_r,
-    r_simplified,
 )
-from qoekit.emodel import DELAY_KNEE_MS, profile_from_dict, profile_to_dict
+from qoekit.emodel import DELAY_KNEE_MS, profile_from_dict
+
+
+#: G.729 in the profile JSON layout, with every optional jitter field given.
+G729_DOCUMENT = {
+    "name": "G.729",
+    "r0": 93.2,
+    "loss": {"a": 11.0, "b": 40.0, "c": 10.0},
+    "jitter": {
+        "c1": -15.5, "c2": 33.5, "c3": 4.4, "c4": 13.6,
+        "h": 0.6, "t_ms": 40.0, "k": 30.0,
+    },
+}
 
 
 def zeroed_jitter_profile(**overrides):
@@ -103,24 +117,6 @@ def test_jitter_impairment_zeroed_constants():
     assert jitter_impairment(zeroed_jitter_profile()) == 0.0
 
 
-def test_r_simplified_composition():
-    assert r_simplified(0.0, 0.0, zeroed_jitter_profile()) == pytest.approx(82.2)
-    assert r_simplified(100.0, 0.0, G729) == pytest.approx(
-        93.2 - 2.4 - 11.0 - jitter_impairment(G729), abs=1e-9
-    )
-    assert r_simplified(100.0, 0.0, G729) == pytest.approx(57.295, abs=1e-3)
-    # heavy loss legitimately drives the rating negative before conversion
-    assert r_simplified(0.0, 100.0, zeroed_jitter_profile()) == pytest.approx(
-        -13.716, abs=1e-3
-    )
-
-
-def test_r_simplified_decreases_with_each_impairment():
-    base = r_simplified(50.0, 5.0, G729)
-    assert r_simplified(60.0, 5.0, G729) < base
-    assert r_simplified(50.0, 6.0, G729) < base
-
-
 def test_mos_from_r_points():
     assert mos_from_r(93.2) == pytest.approx(4.409, abs=1e-3)
     assert mos_from_r(100.0) == 4.5
@@ -142,7 +138,6 @@ def test_mos_from_r_bounds():
 
 def test_mos_from_r_deterministic():
     assert mos_from_r(93.2) == mos_from_r(93.2)
-    assert r_simplified(12.5, 3.25, G729) == r_simplified(12.5, 3.25, G729)
 
 
 def test_profile_validation():
@@ -162,9 +157,7 @@ def test_profile_validation():
 
 def test_profile_json_roundtrip(tmp_path):
     path = tmp_path / "profile.json"
-    import json
-
-    path.write_text(json.dumps(profile_to_dict(G729)))
+    path.write_text(json.dumps(G729_DOCUMENT))
     assert load_profile(path) == G729
 
 
@@ -176,7 +169,8 @@ def test_profile_json_missing_field(tmp_path):
 
 
 def test_profile_dict_defaults():
-    data = profile_to_dict(G729)
-    del data["jitter"]["h"]
-    profile = profile_from_dict(data)
-    assert profile.pareto_h == G729.pareto_h
+    data = copy.deepcopy(G729_DOCUMENT)
+    for key in ("h", "t_ms", "k"):
+        del data["jitter"][key]
+    data["name"] = "defaults"
+    assert profile_from_dict(data) == replace(G729, name="defaults")

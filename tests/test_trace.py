@@ -12,7 +12,6 @@ from qoekit import (
     mean_delay,
     read_trace,
     windows,
-    write_trace,
 )
 from qoekit.trace import spec_from_dict, trace_to_csv_text
 
@@ -56,11 +55,6 @@ def test_loss_rate_counts_seq_gaps():
         PacketRecord(5, 80.0, 180.0),
     )
     assert loss_rate(Trace(packets)) == 20.0  # seq 3 is absent entirely
-
-
-def test_loss_rate_empty_window():
-    with pytest.raises(ValueError, match="no packets"):
-        loss_rate(make_trace([100.0] * 5), window=(1e6, 2e6))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +311,20 @@ def test_impairment_spec_validation_names_fields():
                 "packet_interval_ms": 20,
             }
         )
+    valid = {
+        "loss_prob": 0, "base_delay_ms": 100, "duration_s": 1,
+        "packet_interval_ms": 20, "rng_seed": 3,
+    }
+    for field, value, message in (
+        ("loss_prob", None, "loss_prob must be a finite number, got None"),
+        ("duration_s", 10**400, "duration_s must be a finite number"),
+        ("base_delay_ms", True, "base_delay_ms must be a finite number, got True"),
+        ("packet_interval_ms", "20", "packet_interval_ms must be a finite number"),
+        ("rng_seed", 1.7, "rng_seed must be an integer, got 1.7"),
+        ("rng_seed", False, "rng_seed must be an integer, got False"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            spec_from_dict({**valid, field: value})
 
 
 def test_spec_from_dict_jitter_block():
@@ -372,15 +380,15 @@ def test_trace_csv_round_trip(tmp_path):
         )
     )
     path = tmp_path / "trace.csv"
-    write_trace(trace, path)
-    back = read_trace(path, interval_ms=trace.interval_ms)
+    path.write_text(trace_to_csv_text(trace), newline="")
+    back = read_trace(path)
     assert back.packets == trace.packets
 
 
 def test_read_trace_infers_nominal_interval(tmp_path):
     trace = generate(uniform_spec(duration_s=2.0))
     path = tmp_path / "trace.csv"
-    write_trace(trace, path)
+    path.write_text(trace_to_csv_text(trace), newline="")
     back = read_trace(path)
     assert back.interval_ms == 20.0
     assert not windows(back, 1.0)[-1].partial  # full coverage, no partial flag
