@@ -232,9 +232,9 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # ahp weights
 
-def _print_table(corner, criteria, rows, extra_col=None):
-    """A criteria-by-criteria table at TABLE_DP, plus an optional extra column."""
-    header = [corner, *criteria] + ([extra_col[0]] if extra_col else [])
+def _print_table(title, criteria, rows, extra_col=None):
+    """Criteria table at TABLE_DP, titled in its corner, plus an optional column."""
+    header = [title, *criteria] + ([extra_col[0]] if extra_col else [])
     body = []
     for i, (label, row) in enumerate(zip(criteria, rows)):
         cells = [f"{v:.{TABLE_DP}f}" for v in row]
