@@ -24,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .emodel import json_number
+
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
 
@@ -38,13 +40,6 @@ CR_THRESHOLD = 0.1
 
 AGGREGATION_METHODS = ("arithmetic-mean", "geometric-mean")
 WEIGHT_METHODS = ("column-average", "eigenvector")
-
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITER = 10_000
-
-
-class ConvergenceError(RuntimeError):
-    """Raised when power iteration fails to converge within its budget."""
 
 
 def _check_criteria(criteria: tuple[str, ...]) -> None:
@@ -96,20 +91,16 @@ class JudgmentSet:
             pair = sorted(next(iter(missing)))
             raise ValueError(f"missing judgment for pair {pair[0]!r}/{pair[1]!r}")
 
-    def value(self, a: str, b: str) -> float:
-        """Judged importance of ``a`` relative to ``b`` (reciprocal implied)."""
-        if (a, b) in self.judgments:
-            return self.judgments[(a, b)]
-        return 1.0 / self.judgments[(b, a)]
-
     def matrix(self) -> "PairwiseMatrix":
         """Expand to a full reciprocal comparison matrix."""
         n = len(self.criteria)
         cells = np.ones((n, n))
         for i, a in enumerate(self.criteria):
             for j, b in enumerate(self.criteria):
-                if i != j:
-                    cells[i, j] = self.value(a, b)
+                if (a, b) in self.judgments:
+                    cells[i, j] = self.judgments[(a, b)]
+                elif (b, a) in self.judgments:
+                    cells[i, j] = 1.0 / self.judgments[(b, a)]
         return PairwiseMatrix(self.criteria, cells)
 
 
@@ -132,21 +123,21 @@ class PairwiseMatrix:
             raise ValueError(
                 f"cells must be {n}x{n} for {n} criteria, got {cells.shape}"
             )
-        bad = np.argwhere(~(np.isfinite(cells) & (cells > 0)))
-        if len(bad):
-            i, j = bad[0]
-            raise ValueError(
-                f"matrix cell ({self.criteria[i]}, {self.criteria[j]}) must be "
-                f"finite and positive, got {cells[i, j].item()!r}"
-            )
+        limit = np.finfo(float).max / n  # keeps every column sum finite
+        for bad, rule in (
+            (~(np.isfinite(cells) & (cells > 0)), "finite and positive"),
+            (cells > limit, f"at most {limit:.6g} (the largest float over {n})"),
+        ):
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"matrix cell ({self.criteria[i]}, {self.criteria[j]}) must be "
+                    f"{rule}, got {cells[i, j].item()!r}"
+                )
         if not np.all(np.diag(cells) == 1.0):
             raise ValueError("matrix diagonal must be exactly 1")
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-
-    @property
-    def n(self) -> int:
-        return len(self.criteria)
 
     def cell(self, a: str, b: str) -> float:
         return float(self.cells[self.criteria.index(a), self.criteria.index(b)])
@@ -170,7 +161,7 @@ class WeightVector:
         _check_criteria(self.criteria)
         if len(self.values) != len(self.criteria):
             raise ValueError("one weight per criterion required")
-        if any(v < 0 for v in self.values):
+        if not all(v >= 0 for v in self.values):  # NaN fails too
             raise ValueError(f"weights must be nonnegative, got {self.values}")
         total = sum(self.values)
         if abs(total - 1.0) > 1e-9:
@@ -243,30 +234,21 @@ def column_average_weights(
     return WeightVector(matrix.criteria, tuple(weights)), normalized
 
 
-def _power_iteration(cells: np.ndarray) -> tuple[np.ndarray, float]:
-    """Principal right eigenvector and eigenvalue of a positive matrix."""
-    tol, max_iter = DEFAULT_TOL, DEFAULT_MAX_ITER  # read per call, not bound at import
-    n = cells.shape[0]
-    x = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        y = cells @ x
-        lam = float(y.sum())  # x is L1-normalized, so sum(Ax)/sum(x) = sum(y)
-        y = y / y.sum()
-        if float(np.max(np.abs(y - x))) < tol:
-            return y, lam
-        x = y
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations (tol={tol})"
-    )
+def _principal_eigenpair(cells: np.ndarray) -> tuple[float, np.ndarray]:
+    """Perron root of a positive matrix, the eigenvalue with the largest real
+    part (it is real and dominant), and its eigenvector scaled to sum 1."""
+    values, vectors = np.linalg.eig(cells)
+    k = int(np.argmax(values.real))
+    vec = vectors[:, k].real
+    return float(values[k].real), vec / vec.sum()
 
 
 def eigenvector_weights(matrix: PairwiseMatrix) -> WeightVector:
     """Derive weights as the normalized principal right eigenvector.
 
-    Power iteration converges for any positive matrix, reciprocal or not.
-    Raises :class:`ConvergenceError` if the iteration budget is exhausted.
+    Defined for any positive matrix, reciprocal or not.
     """
-    vec, _ = _power_iteration(matrix.cells)
+    _, vec = _principal_eigenpair(matrix.cells)
     return WeightVector(matrix.criteria, tuple(vec))
 
 
@@ -277,10 +259,10 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
     random-index table; acceptable at CR <= 0.1.  For n = 2 the random
     index is 0 and CR is reported as 0 (always acceptable).
     """
-    n = matrix.n
+    n = len(matrix.criteria)
     if n < 2:
         raise ValueError("consistency requires at least 2 criteria")
-    _, lam = _power_iteration(matrix.cells)
+    lam, _ = _principal_eigenpair(matrix.cells)
     ci = (lam - n) / (n - 1)
     ri = RANDOM_INDEX.get(n, RANDOM_INDEX[10])
     cr = 0.0 if ri == 0.0 else ci / ri
@@ -307,9 +289,10 @@ def read_judgments(path: str | Path) -> JudgmentSet:
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid judgment JSON: {exc}") from exc
     try:
-        judgments = {
-            (str(j["a"]), str(j["b"])): float(j["value"]) for j in data["judgments"]
-        }
+        judgments = {}
+        for j in data["judgments"]:
+            a, b = str(j["a"]), str(j["b"])
+            judgments[(a, b)] = json_number(j["value"], f"judgment {a!r} vs {b!r} value")
         return JudgmentSet(
             evaluator_id=str(data["evaluator_id"]),
             criteria=tuple(data["criteria"]),

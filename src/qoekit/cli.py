@@ -7,7 +7,7 @@ atomically, and JSON reports are stamped with the tool version and the
 SHA-256 of each input so results stay traceable to the files that
 produced them.
 
-Exit codes: 0 success, 2 input validation, 3 I/O, 4 convergence failure.
+Exit codes: 0 success, 2 input validation, 3 I/O.
 """
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ from . import trace as tracemod
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_CONVERGENCE = 4
 
 PROFILE_DIR_ENV = "QOEKIT_PROFILE_DIR"
 
@@ -77,8 +76,12 @@ def load_config(path: str | None) -> dict:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid config JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    emodel.json_object(data, f"{path}: config")
+    for key in ("model", "profile"):
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"{path}: config field {key} must be a string")
+    if "window_s" in data:
+        emodel.json_number(data["window_s"], f"{path}: config field window_s")
     return data
 
 
@@ -253,10 +256,11 @@ def print_weights_and_consistency(
         "weights: "
         + " ".join(f"{c}={w:.{dp}f}" for c, w in weights.as_dict().items())
     )
+    # lambda_max can land an ulp below n; "+ 0.0" turns round()'s -0.0 into 0.000
     print(
         f"consistency: lambda_max={report.lambda_max:.{DISPLAY_DP}f} "
-        f"CI={report.consistency_index:.{DISPLAY_DP}f} "
-        f"CR={report.consistency_ratio:.{DISPLAY_DP}f} "
+        f"CI={round(report.consistency_index, DISPLAY_DP) + 0.0:.{DISPLAY_DP}f} "
+        f"CR={round(report.consistency_ratio, DISPLAY_DP) + 0.0:.{DISPLAY_DP}f} "
         f"acceptable={'yes' if report.acceptable else 'no'}"
     )
 
@@ -612,9 +616,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ahp.ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -26,6 +26,7 @@ from .emodel import (
     CodecProfile,
     delay_impairment,
     jitter_impairment,
+    json_number,
     loss_impairment,
     mos_from_r,
 )
@@ -101,7 +102,7 @@ def register_model(
     """
     if name in _REGISTRY:
         raise ValueError(f"model {name!r} is already registered")
-    values = tuple(float(v) for v in weights)
+    values = tuple(json_number(v, f"model {name!r} weight") for v in weights)
     total = sum(values)
     if abs(total - 1.0) <= WEIGHT_SUM_EXACT:
         pass

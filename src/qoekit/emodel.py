@@ -146,11 +146,19 @@ def json_number(value, field: str, integer: bool = False) -> float | int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
+def json_object(value, field: str) -> dict:
+    """``value`` if it is a JSON object, else a ValueError naming ``field``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def profile_from_dict(data: dict) -> CodecProfile:
     """Build a profile from the JSON layout {name, r0, loss:{...}, jitter:{...}}."""
+    json_object(data, "profile")
     try:
-        loss = data["loss"]
-        jitter = data["jitter"]
+        loss = json_object(data["loss"], "profile field loss")
+        jitter = json_object(data["jitter"], "profile field jitter")
         fields = {
             "r0": data["r0"],
             "loss_a": loss["a"],

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .composite import QosSample
-from .emodel import PARETO_H_MAX, PARETO_H_MIN, json_number
+from .emodel import PARETO_H_MAX, PARETO_H_MIN, json_number, json_object
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
 JITTER_ESTIMATORS = ("rfc3550", "mean-abs")
@@ -376,7 +376,7 @@ def read_trace(path: str | Path) -> Trace:
 def spec_from_dict(data: dict) -> ImpairmentSpec:
     """Build a generator spec from its JSON layout, where jitter settings
     nest as "jitter": {"model", "amplitude_ms", "shape", "scale_ms"}."""
-    if "rng_seed" not in data:
+    if "rng_seed" not in json_object(data, "spec"):
         raise ValueError("spec is missing required field 'rng_seed'")
     jitter = data.get("jitter", {"model": "none"})
     if not isinstance(jitter, dict) or "model" not in jitter:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from qoekit import (
-    ConvergenceError,
     JudgmentSet,
     PairwiseMatrix,
     WeightVector,
@@ -126,6 +125,8 @@ def test_judgment_set_validation():
 def test_matrix_validation():
     with pytest.raises(ValueError, match="positive"):
         PairwiseMatrix(("a", "b"), [[1, 0], [2, 1]])
+    with pytest.raises(ValueError, match=r"\(a, b\) must be at most .* got 1e\+308"):
+        PairwiseMatrix(("a", "b"), [[1, 1e308], [1, 1]])  # above float max / 2
     with pytest.raises(ValueError, match="diagonal"):
         PairwiseMatrix(("a", "b"), [[1, 2], [0.5, 1.01]])
     with pytest.raises(ValueError, match="unique"):
@@ -180,12 +181,16 @@ def test_eigenvector_recovers_random_weights():
         assert np.max(np.abs(got - w / w.sum())) < 1e-9
 
 
-def test_eigenvector_nonconvergence_reported(monkeypatch):
-    monkeypatch.setattr("qoekit.ahp.DEFAULT_TOL", 1e-15)
-    monkeypatch.setattr("qoekit.ahp.DEFAULT_MAX_ITER", 2)
-    m = PairwiseMatrix(CRITERIA, REFERENCE_MATRIX)
-    with pytest.raises(ConvergenceError, match="did not converge"):
-        eigenvector_weights(m)
+def test_eigenpair_residual():
+    # w from eigenvector_weights and lambda from consistency solve A w = lambda w
+    rng = np.random.default_rng(11)
+    matrices = [PairwiseMatrix(CRITERIA, REFERENCE_MATRIX)]
+    for _ in range(50):
+        matrices.append(random_positive_matrix(rng, int(rng.integers(2, 11))))
+    for m in matrices:
+        w = np.array(eigenvector_weights(m).values)
+        lam = consistency(m).lambda_max
+        assert np.max(np.abs(m.cells @ w - lam * w)) <= 1e-12 * lam
 
 
 def test_methods_agree_on_consistent_matrices():
@@ -227,6 +232,8 @@ def test_weight_vector_validation():
         WeightVector(("a", "b"), (0.6, 0.5))
     with pytest.raises(ValueError, match="nonnegative"):
         WeightVector(("a", "b"), (1.2, -0.2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeightVector(("a", "b"), (math.nan, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +303,14 @@ def test_judgment_json_malformed(tmp_path):
     path.write_text("{nope")
     with pytest.raises(ValueError, match="invalid judgment JSON"):
         read_judgments(path)
+    # a judgment value must be a JSON number: true is not 1, "5" is not 5
+    for value in ("true", '"5"', "null"):
+        path.write_text(
+            '{"evaluator_id": "e", "criteria": ["a", "b"],'
+            f' "judgments": [{{"a": "a", "b": "b", "value": {value}}}]}}'
+        )
+        with pytest.raises(ValueError, match="judgment 'a' vs 'b' value must be a"):
+            read_judgments(path)
 
 
 def test_matrix_csv_roundtrip(tmp_path):

@@ -306,3 +306,16 @@ def test_load_models_config_malformed(model_registry, tmp_path):
     config.write_text('[{"name": "x", "weights": [1.0]}]')
     with pytest.raises(ValueError, match="malformed model entry"):
         load_models(config)
+    # weights are JSON numbers: true is not 1 and "0.5" is not 0.5
+    for weights, got in (
+        ("[true, false, false]", "True"),
+        ('["0.5", "0.3", "0.2"]', "'0.5'"),
+    ):
+        config.write_text(
+            '[{"name": "x", "criteria": ["loss", "delay", "jitter"],'
+            f' "weights": {weights}}}]'
+        )
+        message = f"model 'x' weight must be a finite number, got {got}"
+        with pytest.raises(ValueError, match=message):
+            load_models(config)
+    assert "x" not in [m.name for m in list_models()]

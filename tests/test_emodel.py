@@ -166,6 +166,15 @@ def test_profile_json_missing_field(tmp_path):
     path.write_text('{"name": "x", "r0": 90, "loss": {"a": 1, "b": 2, "c": 3}}')
     with pytest.raises(ValueError, match="missing required field"):
         load_profile(path)
+    # a block or the document of the wrong JSON type is named, not a TypeError
+    for doc, message in (
+        ({**G729_DOCUMENT, "loss": [11, 40, 10]}, "profile field loss must be a JSON"),
+        ({**G729_DOCUMENT, "jitter": 0.6}, "profile field jitter must be a JSON"),
+        ([G729_DOCUMENT], "profile must be a JSON object, got list"),
+    ):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            load_profile(path)
 
 
 def test_profile_dict_defaults():

@@ -311,6 +311,8 @@ def test_impairment_spec_validation_names_fields():
                 "packet_interval_ms": 20,
             }
         )
+    with pytest.raises(ValueError, match="spec must be a JSON object, got list"):
+        spec_from_dict(["rng_seed"])
     valid = {
         "loss_prob": 0, "base_delay_ms": 100, "duration_s": 1,
         "packet_interval_ms": 20, "rng_seed": 3,
