@@ -422,13 +422,42 @@ REPORT_CSV_COLUMNS = (
     "mos_overall",
 )
 
+#: One window of the ``--out`` report as ``json_text`` indents it inside
+#: the "windows" list, with a ``%s`` for each value.
+REPORT_ROW = """    {
+      "window_id": %s,
+      "start_ms": %s,
+      "end_ms": %s,
+      "expected": %s,
+      "received": %s,
+      "lost": %s,
+      "partial": %s,
+      "loss_pct": %s,
+      "delay_ms": %s,
+      "jitter_ms": %s,
+      "r_factors": {
+        "loss": %s,
+        "delay": %s,
+        "jitter": %s
+      },
+      "mos_loss": %s,
+      "mos_delay": %s,
+      "mos_jitter": %s,
+      "mos_overall": %s
+    }"""
+REPORT_ROW_WIDTH = REPORT_ROW.count("%s")
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.{DISPLAY_DP}f}"
-    return str(value)
+
+def report_text(payload: dict, row_values: list) -> str:
+    """``json_text(payload)`` with its empty "windows" list holding a
+    ``REPORT_ROW`` per ``REPORT_ROW_WIDTH`` of ``row_values``: the bytes of
+    ``json_text`` with row dicts, as ``json`` encodes every value, so NaN
+    and infinity raise ValueError."""
+    cells = json.dumps(row_values, allow_nan=False)[1:-1].split(", ")
+    n_rows = len(row_values) // REPORT_ROW_WIDTH
+    rows = ",\n".join([REPORT_ROW] * n_rows) % tuple(cells)
+    head, tail = json_text(payload).split('"windows": []', 1)
+    return f'{head}"windows": [\n{rows}\n  ]{tail}'
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
@@ -438,62 +467,59 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
     trace = tracemod.read_trace(args.trace)
     metrics = tracemod.windows(trace, window_s, args.jitter_estimator)
 
-    rows = []
+    dp = f"%.{DISPLAY_DP}f"
+    table_row = " ".join(["%d", dp, "%s", "%s", dp, dp, dp, dp])
+    row_values, table, overall = [], [" ".join(REPORT_CSV_COLUMNS)], []
     for wm in metrics:
-        mos, r_factors = composite.score_row(wm.sample, model, profile)
-        rows.append(
-            {
-                "window_id": wm.window_id,
-                "start_ms": wm.start_ms,
-                "end_ms": wm.end_ms,
-                "expected": wm.packet_count,
-                "received": wm.received_count,
-                "lost": wm.lost_count,
-                "partial": wm.partial,
-                "loss_pct": wm.sample.loss_pct,
-                "delay_ms": wm.sample.delay_ms,
-                "jitter_ms": wm.sample.jitter_ms,
-                "r_factors": r_factors,
-                "mos_loss": mos["loss"],
-                "mos_delay": mos["delay"],
-                "mos_jitter": mos["jitter"],
-                "mos_overall": mos["overall"],
-            }
+        sample = wm.sample
+        mos, r_factors = composite.score_row(sample, model, profile)
+        row_values += (
+            wm.window_id, wm.start_ms, wm.end_ms, wm.packet_count,
+            wm.received_count, wm.lost_count, wm.partial,
+            sample.loss_pct, sample.delay_ms, sample.jitter_ms,
+            r_factors["loss"], r_factors["delay"], r_factors["jitter"],
+            mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
         )
+        table.append(table_row % (
+            wm.window_id,
+            sample.loss_pct,
+            "n/a" if sample.delay_ms is None else dp % sample.delay_ms,
+            "n/a" if sample.jitter_ms is None else dp % sample.jitter_ms,
+            mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
+        ))
+        overall.append(mos["overall"])
 
-    overall_values = [r["mos_overall"] for r in rows]
-    payload = stamp(
-        {
-            "model": model.name,
-            "profile": profile.name,
-            "window_s": window_s,
-            "jitter_estimator": args.jitter_estimator,
-            "windows": rows,
-            "summary": {
-                "window_count": len(rows),
-                "mean_mos": sum(overall_values) / len(overall_values),
-                "min_mos": min(overall_values),
-            },
-        },
-        [args.trace],
-    )
-
-    # each cell is formatted once: "" (None) in the CSV file, "n/a" on stdout
-    cells = [[_csv_cell(r[c]) for c in REPORT_CSV_COLUMNS] for r in rows]
-    table = (" ".join(cell or "n/a" for cell in row) for row in cells)
-    print("\n".join((" ".join(REPORT_CSV_COLUMNS), *table)))
+    summary = {
+        "window_count": len(overall),
+        "mean_mos": sum(overall) / len(overall),
+        "min_mos": min(overall),
+    }
+    table_text = "\n".join(table)
+    print(table_text)
     print(
-        f"summary: windows={len(rows)} "
-        f"mean_mos={payload['summary']['mean_mos']:.{DISPLAY_DP}f} "
-        f"min_mos={payload['summary']['min_mos']:.{DISPLAY_DP}f}"
+        f"summary: windows={len(overall)} "
+        f"mean_mos={summary['mean_mos']:.{DISPLAY_DP}f} "
+        f"min_mos={summary['min_mos']:.{DISPLAY_DP}f}"
     )
 
     if args.out:
-        atomic_write_text(args.out, json_text(payload) + "\n")
+        payload = stamp(
+            {
+                "model": model.name,
+                "profile": profile.name,
+                "window_s": window_s,
+                "jitter_estimator": args.jitter_estimator,
+                "windows": [],
+                "summary": summary,
+            },
+            [args.trace],
+        )
+        atomic_write_text(args.out, report_text(payload, row_values) + "\n")
         print(f"wrote report to {args.out}")
     if args.csv:
-        lines = [",".join(REPORT_CSV_COLUMNS), *(",".join(row) for row in cells)]
-        atomic_write_text(args.csv, "\n".join(lines) + "\n")
+        # the table with commas, and an empty cell where it says n/a
+        csv_text = table_text.replace(" ", ",").replace("n/a", "")
+        atomic_write_text(args.csv, csv_text + "\n")
         print(f"wrote table to {args.csv}")
     return EXIT_OK
 

@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ahp import WeightVector
@@ -27,6 +27,7 @@ from .emodel import (
     delay_impairment,
     jitter_impairment,
     json_number,
+    json_object,
     loss_impairment,
     mos_from_r,
 )
@@ -209,7 +210,7 @@ def component_mos(
         r_factors["jitter"] = None
     else:
         t_ms = max(profile.jitter_t_ms, sample.jitter_ms)
-        r_jitter = profile.r0 - jitter_impairment(replace(profile, jitter_t_ms=t_ms))
+        r_jitter = profile.r0 - jitter_impairment(profile, t_ms)
         mos["jitter"] = mos_from_r(r_jitter)
         r_factors["jitter"] = r_jitter
 
@@ -258,18 +259,32 @@ def load_models(path: str | Path) -> list[CompositeModel]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid model config JSON: {exc}") from exc
+    field = "model config"
     if isinstance(data, dict) and "models" in data:
-        data = data["models"]
+        data, field = data["models"], "model config field models"
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ValueError(
+            f"{path}: {field} must be a model object or a list of them, "
+            f"got {type(data).__name__}"
+        )
     registered = []
     for entry in data:
         try:
+            criteria = json_object(entry, f"{path}: model entry")["criteria"]
+            if not isinstance(criteria, list) or not all(
+                isinstance(c, str) for c in criteria
+            ):
+                raise ValueError(
+                    f"{path}: model field criteria must be a list of strings, "
+                    f"got {criteria!r}"
+                )
             registered.append(
                 register_model(
                     str(entry["name"]),
                     entry["weights"],
-                    tuple(entry["criteria"]),
+                    tuple(criteria),
                     scale=str(entry.get("scale", "mos-5pt")),
                 )
             )

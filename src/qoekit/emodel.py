@@ -105,19 +105,21 @@ def loss_impairment(loss_pct: float, profile: CodecProfile = G729) -> float:
     )
 
 
-def jitter_impairment(profile: CodecProfile = G729) -> float:
-    """Jitter penalty for a profile's heavy-tail shape and buffer settings.
+def jitter_impairment(profile: CodecProfile = G729, t_ms: float | None = None) -> float:
+    """Jitter penalty for a profile's heavy-tail shape and a buffer size.
 
     Quadratic in ``pareto_h`` plus an exponentially decaying buffer term;
-    a larger buffer (``jitter_t_ms``) absorbs more jitter and lowers the
-    penalty.
+    a larger buffer ``t_ms`` (default: the profile's ``jitter_t_ms``)
+    absorbs more jitter and lowers the penalty.
     """
     h = profile.pareto_h
+    if t_ms is None:
+        t_ms = profile.jitter_t_ms
     return (
         profile.jitter_c1 * h * h
         + profile.jitter_c2 * h
         + profile.jitter_c3
-        + profile.jitter_c4 * math.exp(-profile.jitter_t_ms / profile.jitter_k)
+        + profile.jitter_c4 * math.exp(-t_ms / profile.jitter_k)
     )
 
 

@@ -259,14 +259,16 @@ def windows(
     The last window is partial when the trace, which ends at the latest send
     plus the nominal interval (if known), does not cover it.
     """
-    if not window_len_s > 0:  # NaN too
-        raise ValueError(f"window_len_s must be > 0, got {window_len_s}")
+    win_ms = window_len_s * 1000.0
+    if not 0 < win_ms < math.inf:  # NaN too
+        raise ValueError(
+            f"window_len_s must be > 0 and finite in ms, got {window_len_s}"
+        )
     if jitter_estimator not in JITTER_ESTIMATORS:
         raise ValueError(
             f"jitter_estimator must be one of {JITTER_ESTIMATORS}, "
             f"got {jitter_estimator!r}"
         )
-    win_ms = window_len_s * 1000.0
     t0 = trace.send.min().item()
     coverage_end = trace.send.max().item() + (trace.interval_ms or 0.0)
     window_of = ((trace.send - t0) // win_ms).astype(np.int64)

@@ -581,6 +581,94 @@ def test_trace_analyze_report_hash_tracks_input(tmp_path, capsys):
     assert report["inputs"][0]["sha256"] == sha256_file(trace_csv)
 
 
+def test_trace_analyze_rejects_overflowing_window(tmp_path, capsys):
+    # 1e308 s is finite, but 1e311 ms is not
+    trace_csv = tmp_path / "trace.csv"
+    trace_csv.write_text("seq,send_ts_ms,recv_ts_ms\n1,0,100\n2,20,121\n3,40,139\n")
+    report, table = tmp_path / "report.json", tmp_path / "report.csv"
+    for outputs in (["--out", str(report)], ["--csv", str(table)]):
+        code, out, err = run(
+            capsys, "trace", "analyze", str(trace_csv), "--window", "1e308", *outputs
+        )
+        assert code == 2
+        assert out == ""
+        assert "window_len_s" in err
+    assert not report.exists() and not table.exists()
+
+
+def floored_partial_trace(path):
+    """0.1 s windows: full, fully lost, one received, then a partial one."""
+    lines = ["seq,send_ts_ms,recv_ts_ms"]
+    for i in range(18):
+        send = i * 20.0
+        lost = 5 <= i < 14  # all of window 1; window 2 keeps only seq 15
+        recv = send + 100.0 + (i % 3) * 1.7
+        lines.append(f"{i + 1},{send!r}," + ("" if lost else repr(recv)))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("estimator", ["rfc3550", "mean-abs"])
+def test_trace_analyze_report_matches_json_text(
+    tmp_path, capsys, model_registry, estimator
+):
+    trace_csv = floored_partial_trace(tmp_path / "trace.csv")
+    profile = json.loads((DATA_DIR / "profile_zeroed_jitter.json").read_text())
+    profile["name"] = 'zeroed "jitter" \u00e9'
+    (tmp_path / "profile.json").write_text(json.dumps(profile))
+    (tmp_path / "models.json").write_text(json.dumps({
+        "name": 'm"\u00f8', "criteria": ["loss", "delay", "jitter"],
+        "weights": [0.5, 0.3, 0.2],
+    }))
+    reports = []
+    for options in (
+        [],
+        ["--profile", str(tmp_path / "profile.json"),
+         "--models-config", str(tmp_path / "models.json"), "--model", 'm"\u00f8'],
+    ):
+        report = tmp_path / f"report{len(reports)}.json"
+        code, _, _ = run(
+            capsys, "trace", "analyze", trace_csv, "--window", "0.1",
+            "--jitter-estimator", estimator, "--out", str(report), *options,
+        )
+        assert code == 0
+        reports.append(report.read_text(encoding="utf-8"))
+    for text in reports:
+        doc = json.loads(text)
+        assert cli.json_text(doc) + "\n" == text
+        rows = doc["windows"]
+        assert [r["partial"] for r in rows] == [False, False, False, True]
+        assert rows[1]["delay_ms"] is None and rows[1]["r_factors"]["delay"] is None
+        assert rows[2]["delay_ms"] is not None and rows[2]["jitter_ms"] is None
+    assert (doc["model"], doc["profile"]) == ('m"\u00f8', 'zeroed "jitter" \u00e9')
+
+
+def test_trace_analyze_table_and_csv_cells(tmp_path, capsys):
+    trace_csv = floored_partial_trace(tmp_path / "trace.csv")
+    table = tmp_path / "report.csv"
+    code, out, _ = run(
+        capsys, "trace", "analyze", trace_csv, "--window", "0.1", "--csv", str(table)
+    )
+    assert code == 0
+    lines = out.splitlines()
+    csv_lines = table.read_text().splitlines()
+    assert lines[0] == " ".join(cli.REPORT_CSV_COLUMNS)
+    assert csv_lines[0] == ",".join(cli.REPORT_CSV_COLUMNS)
+    assert lines[2] == "1 100.000 n/a n/a 1.000 1.000 1.000 1.000"
+    assert csv_lines[2] == "1,100.000,,,1.000,1.000,1.000,1.000"
+    assert lines[3].startswith("2 80.000 103.400 n/a ")
+    assert csv_lines[3].startswith("2,80.000,103.400,,")
+
+
+def test_report_row_template_rejects_nan():
+    values = [0] * cli.REPORT_ROW_WIDTH
+    text = cli.report_text({"windows": []}, values)
+    assert cli.json_text(json.loads(text)) == text
+    values[-1] = float("nan")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.report_text({"windows": []}, values)
+
+
 # ---------------------------------------------------------------------------
 # models list
 
@@ -601,3 +689,32 @@ def test_models_list_with_config(tmp_path, capsys, model_registry):
     code, out, _ = run(capsys, "models", "list", "--models-config", str(config))
     assert code == 0
     assert "zz-custom" in out
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("7", "model config must be a model object or a list of them, got int"),
+        ('{"models": 5}', "model config field models must be a model object"),
+        ("[7]", "model entry must be a JSON object, got int"),
+        (
+            '{"name": "zc", "criteria": "ldj", "weights": [0.5, 0.3, 0.2]}',
+            "model field criteria must be a list of strings, got 'ldj'",
+        ),
+        (
+            '[{"name": "zc", "criteria": ["loss", 3, "jitter"], "weights": [0.5, 0.3, 0.2]}]',
+            "model field criteria must be a list of strings",
+        ),
+    ],
+    ids=["number", "models-number", "entry-number", "criteria-string", "criterion-number"],
+)
+def test_models_config_rejects_ill_typed_document(
+    tmp_path, capsys, model_registry, document, message
+):
+    config = tmp_path / "models.json"
+    config.write_text(document)
+    code, out, err = run(capsys, "models", "list", "--models-config", str(config))
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "zc" not in model_registry

@@ -19,6 +19,7 @@ from qoekit import (
     jitter_impairment,
     list_models,
     load_models,
+    mos_from_r,
     register_model,
     score,
 )
@@ -281,6 +282,38 @@ def test_derived_weights_match_voice_preset_within_half_percent():
 def test_get_model_unknown():
     with pytest.raises(ValueError, match="unknown model"):
         get_model("nope")
+
+
+CUSTOM_JITTER = CodecProfile(
+    name="custom-jitter",
+    r0=90.0,
+    loss_a=5.0,
+    loss_b=30.0,
+    loss_c=15.0,
+    jitter_c1=-12.0,
+    jitter_c2=30.0,
+    jitter_c3=2.0,
+    jitter_c4=20.0,
+    pareto_h=0.8,
+    jitter_t_ms=25.0,
+    jitter_k=12.0,
+)
+
+
+@pytest.mark.parametrize("profile", [G729, CUSTOM_JITTER], ids=lambda p: p.name)
+@pytest.mark.parametrize("offset", [-17.3, 0.0, 61.9], ids=["below", "at", "above"])
+def test_jitter_term_matches_profile_with_raised_buffer(profile, offset):
+    # the jitter term equals scoring a profile copy whose buffer is raised
+    # to the measured jitter, bit for bit
+    jitter = profile.jitter_t_ms + offset
+    raised = replace(profile, jitter_t_ms=max(profile.jitter_t_ms, jitter))
+    r_want = raised.r0 - jitter_impairment(raised)
+    mos, r_factors = component_mos(QosSample(0.0, 0.0, jitter), profile)
+    assert r_factors["jitter"] == r_want
+    assert mos["jitter"] == mos_from_r(r_want)
+    assert jitter_impairment(profile, jitter) == jitter_impairment(
+        replace(profile, jitter_t_ms=jitter)
+    )
 
 
 def test_list_models_contains_presets():

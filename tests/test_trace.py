@@ -232,6 +232,9 @@ def test_windows_validation():
         windows(trace, 0.0)
     with pytest.raises(ValueError, match="window_len_s"):
         windows(trace, float("nan"))
+    # finite in seconds, but infinite in milliseconds
+    with pytest.raises(ValueError, match="window_len_s"):
+        windows(trace, 1e308)
     with pytest.raises(ValueError, match="jitter_estimator"):
         windows(trace, 1.0, jitter_estimator="median")
 
