@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .emodel import json_number
+from .emodel import json_number, read_json
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -37,6 +36,9 @@ RANDOM_INDEX = {
 
 #: Conventional acceptance threshold for the consistency ratio.
 CR_THRESHOLD = 0.1
+
+#: How far a weight vector's sum may be from 1.
+WEIGHT_SUM_TOL = 1e-9
 
 AGGREGATION_METHODS = ("arithmetic-mean", "geometric-mean")
 WEIGHT_METHODS = ("column-average", "eigenvector")
@@ -164,8 +166,10 @@ class WeightVector:
         if not all(v >= 0 for v in self.values):  # NaN fails too
             raise ValueError(f"weights must be nonnegative, got {self.values}")
         total = sum(self.values)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1 within 1e-9, got {total!r}")
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(
+                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
+            )
 
     def __getitem__(self, criterion: str) -> float:
         return self.values[self.criteria.index(criterion)]
@@ -275,7 +279,7 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
 
 
 # ---------------------------------------------------------------------------
-# File formats: judgment sets as JSON, matrices and weight tables as CSV.
+# File formats: judgment sets as JSON, criteria tables as CSV.
 
 def read_judgments(path: str | Path) -> JudgmentSet:
     """Read a judgment set from its JSON layout.
@@ -283,11 +287,7 @@ def read_judgments(path: str | Path) -> JudgmentSet:
     Expected shape: {"evaluator_id": ..., "criteria": [...],
     "judgments": [{"a": ..., "b": ..., "value": ...}, ...]}.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid judgment JSON: {exc}") from exc
+    data = read_json(path, "judgment")
     try:
         judgments = {}
         for j in data["judgments"]:
@@ -342,26 +342,15 @@ def read_matrix_csv(path: str | Path) -> PairwiseMatrix:
     return PairwiseMatrix(criteria, cells)
 
 
-def matrix_to_csv_text(matrix: PairwiseMatrix) -> str:
-    """Render a matrix as CSV with labeled rows and columns, full precision."""
+def table_to_csv_text(header: list[str], rows: list[list[float]]) -> str:
+    """Render a criteria table as CSV at full precision.
+
+    ``header`` is the corner title, the criteria and any stacked columns;
+    row i is labelled with ``header[i + 1]``, its criterion.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["Importance", *matrix.criteria])
-    for label, row in zip(matrix.criteria, matrix.cells):
-        writer.writerow([label, *[repr(float(v)) for v in row]])
+    writer.writerow(header)
+    for label, row in zip(header[1:], rows):
+        writer.writerow([label, *map(repr, row)])
     return buf.getvalue()
-
-
-def weight_table_to_csv_text(
-    criteria: tuple[str, ...],
-    normalized: np.ndarray,
-    weights: WeightVector,
-) -> str:
-    """Render the normalized table plus a trailing per-row Average column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["Weight", *criteria, "Average"])
-    for label, row, w in zip(criteria, normalized, weights.values):
-        writer.writerow([label, *[repr(float(v)) for v in row], repr(float(w))])
-    return buf.getvalue()
-

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -71,11 +71,7 @@ def stamp(payload: dict, inputs: list[str | Path]) -> dict:
 def load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid config JSON: {exc}") from exc
+    data = emodel.read_json(path, "config")
     emodel.json_object(data, f"{path}: config")
     for key in ("model", "profile"):
         if not isinstance(data.get(key, ""), str):
@@ -99,10 +95,7 @@ def resolve_profile(ident: str | None) -> emodel.CodecProfile:
     profile_dir = os.environ.get(PROFILE_DIR_ENV)
     if profile_dir and Path(profile_dir).is_dir():
         for candidate in sorted(Path(profile_dir).glob("*.json")):
-            try:
-                profile = emodel.load_profile(candidate)
-            except (ValueError, OSError):
-                continue
+            profile = emodel.load_profile(candidate)
             if ident in (profile.name, candidate.stem):
                 return profile
     if Path(ident).exists():
@@ -167,7 +160,7 @@ class _AnswerSource:
 
 def _echo_judgment_summary(js: ahp.JudgmentSet) -> ahp.ConsistencyReport:
     matrix = js.matrix()
-    _print_table("Importance", matrix.criteria, matrix.cells.tolist())
+    _print_table(["Importance", *matrix.criteria], matrix.cells.tolist())
     weights, _ = ahp.column_average_weights(matrix)
     report = ahp.consistency(matrix)
     print_weights_and_consistency(weights, report, DISPLAY_DP)
@@ -235,15 +228,12 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # ahp weights
 
-def _print_table(title, criteria, rows, extra_col=None):
-    """Criteria table at TABLE_DP, titled in its corner, plus an optional column."""
-    header = [title, *criteria] + ([extra_col[0]] if extra_col else [])
-    body = []
-    for i, (label, row) in enumerate(zip(criteria, rows)):
-        cells = [f"{v:.{TABLE_DP}f}" for v in row]
-        if extra_col:
-            cells.append(f"{extra_col[1][i]:.{TABLE_DP}f}")
-        body.append([label, *cells])
+def _print_table(header: list[str], rows: list[list[float]]) -> None:
+    """A criteria table at TABLE_DP, laid out as ``ahp.table_to_csv_text``."""
+    body = [
+        [label, *(f"{v:.{TABLE_DP}f}" for v in row)]
+        for label, row in zip(header[1:], rows)
+    ]
     widths = [max(len(r[c]) for r in [header, *body]) for c in range(len(header))]
     for r in [header, *body]:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -288,15 +278,16 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         weights = ahp.eigenvector_weights(matrix)
     report = ahp.consistency(matrix)
 
-    _print_table("Importance", matrix.criteria, matrix.cells.tolist())
-    print()
-    _print_table(
-        "Weight",
-        matrix.criteria,
-        normalized.tolist(),
-        extra_col=("Average", list(weights.values)),
-    )
-    print()
+    tables = {
+        "matrix.csv": (["Importance", *matrix.criteria], matrix.cells.tolist()),
+        "weights.csv": (
+            ["Weight", *matrix.criteria, "Average"],
+            np.column_stack([normalized, weights.values]).tolist(),
+        ),
+    }
+    for header, rows in tables.values():
+        _print_table(header, rows)
+        print()
     print_weights_and_consistency(weights, report, TABLE_DP)
 
     payload = stamp(
@@ -307,12 +298,7 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
             "matrix": matrix.cells.tolist(),
             "normalized": normalized.tolist(),
             "weights": list(weights.values),
-            "consistency": {
-                "lambda_max": report.lambda_max,
-                "consistency_index": report.consistency_index,
-                "consistency_ratio": report.consistency_ratio,
-                "acceptable": report.acceptable,
-            },
+            "consistency": asdict(report),
         },
         inputs,
     )
@@ -322,11 +308,8 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         atomic_write_text(out_dir / "weights.json", json_text(payload) + "\n")
-        atomic_write_text(out_dir / "matrix.csv", ahp.matrix_to_csv_text(matrix))
-        atomic_write_text(
-            out_dir / "weights.csv",
-            ahp.weight_table_to_csv_text(matrix.criteria, normalized, weights),
-        )
+        for name, table in tables.items():
+            atomic_write_text(out_dir / name, ahp.table_to_csv_text(*table))
         print(f"wrote weights.json, matrix.csv, weights.csv to {out_dir}")
     return EXIT_OK
 
@@ -374,11 +357,7 @@ def cmd_mos(args: argparse.Namespace) -> int:
     payload = {
         "model": model.name,
         "profile": profile.name,
-        "sample": {
-            "loss_pct": sample.loss_pct,
-            "delay_ms": sample.delay_ms,
-            "jitter_ms": sample.jitter_ms,
-        },
+        "sample": asdict(sample),
         "r_factors": r_factors,
         "mos": mos,
     }

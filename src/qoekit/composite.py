@@ -12,14 +12,13 @@ concurrent use.
 """
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ahp import WeightVector
+from .ahp import WEIGHT_SUM_TOL, WeightVector
 from .emodel import (
     G729,
     MOS_MIN,
@@ -30,6 +29,7 @@ from .emodel import (
     json_object,
     loss_impairment,
     mos_from_r,
+    read_json,
 )
 
 #: Criteria of the voice scoring pipeline, in canonical order.
@@ -37,10 +37,8 @@ VOICE_CRITERIA = ("loss", "delay", "jitter")
 
 MODEL_SCALES = ("mos-5pt", "normalized-score")
 
-#: |sum(weights) - 1| above this is accepted with renormalization ...
+#: |sum(weights) - 1| beyond ``WEIGHT_SUM_TOL`` and up to this is renormalized.
 WEIGHT_SUM_RENORM = 0.02
-#: ... and below this is accepted as-is.
-WEIGHT_SUM_EXACT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,16 +94,16 @@ def register_model(
 ) -> CompositeModel:
     """Register a named model, validating that its weights sum to 1.
 
-    ``weights`` is a sequence paired with ``criteria``.  A sum within 1e-6
-    of 1 is accepted as given; a sum off by up to 0.02 (two-decimal table
-    rounding) is renormalized with a warning; anything further off is
-    rejected.
+    ``weights`` is a sequence paired with ``criteria``.  A sum within
+    ``WEIGHT_SUM_TOL`` of 1 is accepted as given; a sum off by up to 0.02
+    (two-decimal table rounding) is renormalized with a warning; anything
+    further off is rejected.
     """
     if name in _REGISTRY:
         raise ValueError(f"model {name!r} is already registered")
     values = tuple(json_number(v, f"model {name!r} weight") for v in weights)
     total = sum(values)
-    if abs(total - 1.0) <= WEIGHT_SUM_EXACT:
+    if abs(total - 1.0) <= WEIGHT_SUM_TOL:
         pass
     elif abs(total - 1.0) <= WEIGHT_SUM_RENORM:
         warnings.warn(
@@ -161,16 +159,17 @@ def combine(model: CompositeModel, components: Mapping[str, float]) -> float:
     Component criteria must match the model's exactly.  The result is a
     convex combination, so it lies within [min component, max component].
     """
-    missing = set(model.criteria) - set(components)
-    if missing:
-        raise ValueError(f"missing components for criteria {sorted(missing)}")
-    extra = set(components) - set(model.criteria)
-    if extra:
+    criteria = model.criteria
+    if components.keys() != set(criteria):
+        missing = set(criteria) - set(components)
+        if missing:
+            raise ValueError(f"missing components for criteria {sorted(missing)}")
         raise ValueError(
-            f"components {sorted(extra)} do not belong to model {model.name!r} "
-            f"(criteria {list(model.criteria)})"
+            f"components {sorted(set(components) - set(criteria))} do not belong "
+            f"to model {model.name!r} (criteria {list(criteria)})"
         )
-    return sum(model.weights[c] * float(components[c]) for c in model.criteria)
+    weights = model.weights.values
+    return sum(w * float(components[c]) for w, c in zip(weights, criteria))
 
 
 def component_mos(
@@ -240,11 +239,6 @@ def score(
     profile: CodecProfile = G729,
 ) -> float:
     """End-to-end pipeline: measured sample -> components -> overall MOS."""
-    if set(model.criteria) != set(VOICE_CRITERIA):
-        raise ValueError(
-            f"model {model.name!r} is over criteria {list(model.criteria)}; "
-            f"sample scoring needs exactly {list(VOICE_CRITERIA)}"
-        )
     return score_row(sample, model, profile)[0]["overall"]
 
 
@@ -254,11 +248,7 @@ def load_models(path: str | Path) -> list[CompositeModel]:
     Accepts one model object {name, criteria: [...], weights: [...]} or a
     list of them (optionally under a top-level "models" key).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid model config JSON: {exc}") from exc
+    data = read_json(path, "model config")
     field = "model config"
     if isinstance(data, dict) and "models" in data:
         data, field = data["models"], "model config field models"

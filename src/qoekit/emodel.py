@@ -148,6 +148,16 @@ def json_number(value, field: str, integer: bool = False) -> float | int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
+def read_json(path: str | Path, what: str):
+    """The parsed JSON document of an input file; a syntax error becomes a
+    ValueError naming the file and ``what`` it holds."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid {what} JSON: {exc}") from exc
+
+
 def json_object(value, field: str) -> dict:
     """``value`` if it is a JSON object, else a ValueError naming ``field``."""
     if not isinstance(value, dict):
@@ -181,10 +191,9 @@ def profile_from_dict(data: dict) -> CodecProfile:
 
 
 def load_profile(path: str | Path) -> CodecProfile:
-    """Load a codec profile from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid profile JSON: {exc}") from exc
-    return profile_from_dict(data)
+    """Load a codec profile from a JSON file; an error names the file."""
+    data = read_json(path, "profile")
+    try:
+        return profile_from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -10,7 +10,6 @@ only.  Generated traces are deterministic for a given seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import random
 from collections import namedtuple
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .composite import QosSample
-from .emodel import PARETO_H_MAX, PARETO_H_MIN, json_number, json_object
+from .emodel import PARETO_H_MAX, PARETO_H_MIN, json_number, json_object, read_json
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
 JITTER_ESTIMATORS = ("rfc3550", "mean-abs")
@@ -259,18 +258,21 @@ def windows(
     The last window is partial when the trace, which ends at the latest send
     plus the nominal interval (if known), does not cover it.
     """
+    t0 = trace.send.min().item()
+    t_end = trace.send.max().item()
     win_ms = window_len_s * 1000.0
-    if not 0 < win_ms < math.inf:  # NaN too
+    # NaN fails too, and the last window's index must fit the int64 cast
+    if not (0 < win_ms < math.inf and (t_end - t0) // win_ms < 2.0**63):
         raise ValueError(
-            f"window_len_s must be > 0 and finite in ms, got {window_len_s}"
+            f"window_len_s must be > 0, finite in ms and give fewer than 2**63 "
+            f"windows, got {window_len_s}"
         )
     if jitter_estimator not in JITTER_ESTIMATORS:
         raise ValueError(
             f"jitter_estimator must be one of {JITTER_ESTIMATORS}, "
             f"got {jitter_estimator!r}"
         )
-    t0 = trace.send.min().item()
-    coverage_end = trace.send.max().item() + (trace.interval_ms or 0.0)
+    coverage_end = t_end + (trace.interval_ms or 0.0)
     window_of = ((trace.send - t0) // win_ms).astype(np.int64)
     n = int(window_of.max()) + 1
     m = window_metrics(trace, window_of, n, jitter_estimator)
@@ -403,9 +405,4 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
 
 
 def load_impairment_spec(path: str | Path) -> ImpairmentSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid spec JSON: {exc}") from exc
-    return spec_from_dict(data)
+    return spec_from_dict(read_json(path, "spec"))

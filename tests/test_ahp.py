@@ -15,7 +15,7 @@ from qoekit import (
     read_judgments,
     read_matrix_csv,
 )
-from qoekit.ahp import judgments_to_dict, matrix_to_csv_text
+from qoekit.ahp import judgments_to_dict, table_to_csv_text
 from conftest import CRITERIA, REFERENCE_MATRIX
 
 
@@ -316,7 +316,8 @@ def test_judgment_json_malformed(tmp_path):
 def test_matrix_csv_roundtrip(tmp_path):
     m = PairwiseMatrix(CRITERIA, REFERENCE_MATRIX)
     path = tmp_path / "matrix.csv"
-    path.write_text(matrix_to_csv_text(m), newline="")
+    header = ["Importance", *m.criteria]
+    path.write_text(table_to_csv_text(header, m.cells.tolist()), newline="")
     back = read_matrix_csv(path)
     assert back.criteria == m.criteria
     assert np.array_equal(back.cells, m.cells)

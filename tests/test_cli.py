@@ -161,6 +161,30 @@ def test_weights_accepts_preaggregated_matrix(capsys):
     assert "weights: loss=0.55 delay=0.25 jitter=0.20" in out
 
 
+def test_weights_csv_tables_match_json(tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    code, _, _ = run(
+        capsys, "ahp", "weights", "--matrix", MATRIX_CSV, "--out-dir", str(out_dir)
+    )
+    assert code == 0
+    doc = json.loads((out_dir / "weights.json").read_text())
+    criteria = doc["criteria"]
+
+    def table(name):
+        lines = (out_dir / name).read_text().splitlines()
+        header, *rows = [line.split(",") for line in lines]
+        assert [row[0] for row in rows] == criteria
+        return header, [[float(v) for v in row[1:]] for row in rows]
+
+    header, cells = table("matrix.csv")
+    assert header == ["Importance", *criteria]
+    assert cells == doc["matrix"]
+    header, cells = table("weights.csv")
+    assert header == ["Weight", *criteria, "Average"]
+    assert [row[:-1] for row in cells] == doc["normalized"]
+    assert [row[-1] for row in cells] == doc["weights"]
+
+
 def test_weights_judgments_and_matrix_are_exclusive(capsys):
     code, _, err = run(
         capsys, "ahp", "weights", JUDGMENT_FILES[0], "--matrix", MATRIX_CSV
@@ -421,6 +445,13 @@ def test_profile_dir_resolution(tmp_path, monkeypatch):
     assert resolve_profile("zeroed").name == "G.729-zeroed-jitter"
     with pytest.raises(ValueError, match="unknown profile"):
         resolve_profile("no-such-profile")
+    # a profile that fails to load is an error naming its file, not skipped
+    wide = json.loads(Path(ZEROED_PROFILE).read_text())
+    wide["name"] = "wide"
+    wide["jitter"]["h"] = 5
+    (target / "wide.json").write_text(json.dumps(wide))
+    with pytest.raises(ValueError, match=r"wide\.json: pareto_h must be within"):
+        resolve_profile("wide")
 
 
 # ---------------------------------------------------------------------------

@@ -222,8 +222,13 @@ def test_score_monotone_in_loss_and_delay():
 
 
 def test_score_requires_voice_criteria():
-    with pytest.raises(ValueError, match="criteria"):
-        score(QosSample(0.0, 0.0, 0.0), get_model("video-network"), G729)
+    too_few = CompositeModel("ld", WeightVector(("loss", "delay"), (0.5, 0.5)))
+    too_many = CompositeModel(
+        "ldjx", WeightVector((*CRITERIA, "x"), (0.25, 0.25, 0.25, 0.25))
+    )
+    for model in (get_model("video-network"), too_few, too_many):
+        with pytest.raises(ValueError, match="criteria"):
+            score(QosSample(0.0, 0.0, 0.0), model, G729)
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +251,14 @@ def test_register_accepts_exact_weights(model_registry):
 
 
 def test_register_renormalizes_table_rounding(model_registry):
-    with pytest.warns(UserWarning, match="renormalizing"):
-        model = register_model("rounded", (0.56, 0.25, 0.20), CRITERIA)
-    assert sum(model.weights.values) == pytest.approx(1.0, abs=1e-12)
-    assert model.weights.values[0] == pytest.approx(0.56 / 1.01, abs=1e-12)
+    # two-decimal table rounding, and a sum just beyond the exact tolerance
+    for name, first in (("rounded", 0.56), ("near", 0.5500005)):
+        with pytest.warns(UserWarning, match="renormalizing"):
+            model = register_model(name, (first, 0.25, 0.20), CRITERIA)
+        assert get_model(name) is model
+        assert sum(model.weights.values) == pytest.approx(1.0, abs=1e-12)
+        total = first + 0.25 + 0.20
+        assert model.weights.values[0] == pytest.approx(first / total, abs=1e-12)
 
 
 def test_register_rejects_bad_sum(model_registry):

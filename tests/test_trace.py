@@ -235,6 +235,9 @@ def test_windows_validation():
     # finite in seconds, but infinite in milliseconds
     with pytest.raises(ValueError, match="window_len_s"):
         windows(trace, 1e308)
+    # so small that the latest send's window index overflows int64
+    with pytest.raises(ValueError, match="window_len_s"):
+        windows(make_trace([80.0, 80.0, 80.0]), 1e-300)
     with pytest.raises(ValueError, match="jitter_estimator"):
         windows(trace, 1.0, jitter_estimator="median")
 
