@@ -336,10 +336,9 @@ def _format_mos_line(payload: dict) -> str:
 def _scoring_options(args: argparse.Namespace):
     """Config, model and profile from the scoring flags of `mos` and `trace analyze`."""
     config = load_config(args.config)
-    if args.models_config:
-        composite.load_models(args.models_config)
     model = composite.get_model(
-        effective(args.model, config, "model", "paper-5g-ahp")
+        effective(args.model, config, "model", "paper-5g-ahp"),
+        composite.load_models(args.models_config),
     )
     profile = resolve_profile(effective(args.profile, config, "profile", None))
     overrides = {}
@@ -507,13 +506,11 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
 # models list
 
 def cmd_models_list(args: argparse.Namespace) -> int:
-    if args.models_config:
-        composite.load_models(args.models_config)
-    for model in composite.list_models():
+    for name, model in sorted(composite.load_models(args.models_config).items()):
         weights = " ".join(
             f"{c}={w:.{DISPLAY_DP}f}" for c, w in model.weights.as_dict().items()
         )
-        print(f"{model.name} [{model.scale}] {weights}")
+        print(f"{name} [{model.scale}] {weights}")
     return EXIT_OK
 
 
@@ -607,9 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--csv", help="plot-ready CSV table to write")
     p_analyze.set_defaults(func=cmd_trace_analyze)
 
-    p_models = sub.add_parser("models", help="model registry")
+    p_models = sub.add_parser("models", help="composite models")
     models_sub = p_models.add_subparsers(dest="subcommand", required=True)
-    p_list = models_sub.add_parser("list", help="list registered models")
+    p_list = models_sub.add_parser("list", help="list the presets and --models-config models")
     p_list.add_argument("--models-config")
     p_list.set_defaults(func=cmd_models_list)
 

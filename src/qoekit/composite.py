@@ -5,10 +5,6 @@ criteria.  For the voice pipeline each criterion of a measured
 (loss, delay, jitter) sample is scored in isolation: the rating baseline
 is reduced by that impairment alone and converted to MOS, so components
 stay independent before the weighted combination.
-
-The model registry is read-mostly: presets register at import, callers
-may add models at startup, and scoring afterwards is pure and safe for
-concurrent use.
 """
 from __future__ import annotations
 
@@ -17,6 +13,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 from .ahp import WEIGHT_SUM_TOL, WeightVector
 from .emodel import (
@@ -83,24 +80,16 @@ class CompositeModel:
         return self.weights.criteria
 
 
-_REGISTRY: dict[str, CompositeModel] = {}
-
-
-def register_model(
-    name: str,
-    weights,
-    criteria: tuple[str, ...],
-    scale: str = "mos-5pt",
+def make_model(
+    name: str, weights, criteria: tuple[str, ...], scale: str = "mos-5pt"
 ) -> CompositeModel:
-    """Register a named model, validating that its weights sum to 1.
+    """A named model, validating that its weights sum to 1.
 
     ``weights`` is a sequence paired with ``criteria``.  A sum within
     ``WEIGHT_SUM_TOL`` of 1 is accepted as given; a sum off by up to 0.02
     (two-decimal table rounding) is renormalized with a warning; anything
     further off is rejected.
     """
-    if name in _REGISTRY:
-        raise ValueError(f"model {name!r} is already registered")
     values = tuple(json_number(v, f"model {name!r} weight") for v in weights)
     total = sum(values)
     if abs(total - 1.0) <= WEIGHT_SUM_TOL:
@@ -116,41 +105,29 @@ def register_model(
             f"model {name!r}: weights sum to {total:.6f}, "
             f"more than {WEIGHT_SUM_RENORM} away from 1"
         )
-    weights = WeightVector(tuple(criteria), values)
-    model = CompositeModel(name=name, weights=weights, scale=scale)
-    _REGISTRY[name] = model
-    return model
+    return CompositeModel(name, WeightVector(tuple(criteria), values), scale)
 
 
-def get_model(name: str) -> CompositeModel:
+#: Built-in models by name, read-only.  The voice model carries the
+#: elicited impairment weights; the two video presets are weights over
+#: caller-supplied normalized component scores, not full pipelines.
+PRESETS: Mapping[str, CompositeModel] = MappingProxyType({m.name: m for m in (
+    make_model("paper-5g-ahp", (0.55, 0.25, 0.20), VOICE_CRITERIA),
+    make_model("video-network", (0.26, 0.55, 0.07, 0.12),
+               ("loss", "jitter", "throughput", "ars"), "normalized-score"),
+    make_model("video-application", (0.26, 0.63, 0.11),
+               ("bit_rate", "frame_rate", "resolution"), "normalized-score"),
+)})
+
+
+def get_model(
+    name: str, models: Mapping[str, CompositeModel] = PRESETS
+) -> CompositeModel:
+    """The model called ``name`` in ``models``; a ValueError lists the names."""
     try:
-        return _REGISTRY[name]
+        return models[name]
     except KeyError:
-        raise ValueError(
-            f"unknown model {name!r}; known: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def list_models() -> list[CompositeModel]:
-    return [_REGISTRY[name] for name in sorted(_REGISTRY)]
-
-
-# Built-in presets.  The voice model carries the elicited impairment
-# weights; the two video presets are weight registries over caller-supplied
-# normalized component scores, not full pipelines.
-register_model("paper-5g-ahp", (0.55, 0.25, 0.20), VOICE_CRITERIA, scale="mos-5pt")
-register_model(
-    "video-network",
-    (0.26, 0.55, 0.07, 0.12),
-    ("loss", "jitter", "throughput", "ars"),
-    scale="normalized-score",
-)
-register_model(
-    "video-application",
-    (0.26, 0.63, 0.11),
-    ("bit_rate", "frame_rate", "resolution"),
-    scale="normalized-score",
-)
+        raise ValueError(f"unknown model {name!r}; known: {sorted(models)}") from None
 
 
 def combine(model: CompositeModel, components: Mapping[str, float]) -> float:
@@ -189,30 +166,15 @@ def component_mos(
     profile baseline, and since a larger buffer lowers the penalty,
     jitter beyond the buffer raises the jitter component.
     """
-    mos: dict[str, float] = {}
-    r_factors: dict[str, float | None] = {}
-
-    r_loss = profile.r0 - loss_impairment(sample.loss_pct, profile)
-    mos["loss"] = mos_from_r(r_loss)
-    r_factors["loss"] = r_loss
-
-    if sample.delay_ms is None:
-        mos["delay"] = MOS_MIN
-        r_factors["delay"] = None
-    else:
-        r_delay = profile.r0 - delay_impairment(sample.delay_ms)
-        mos["delay"] = mos_from_r(r_delay)
-        r_factors["delay"] = r_delay
-
-    if sample.jitter_ms is None:
-        mos["jitter"] = MOS_MIN
-        r_factors["jitter"] = None
-    else:
-        t_ms = max(profile.jitter_t_ms, sample.jitter_ms)
-        r_jitter = profile.r0 - jitter_impairment(profile, t_ms)
-        mos["jitter"] = mos_from_r(r_jitter)
-        r_factors["jitter"] = r_jitter
-
+    terms = {
+        "loss": loss_impairment(sample.loss_pct, profile),
+        "delay": None if sample.delay_ms is None else delay_impairment(sample.delay_ms),
+        "jitter": None if sample.jitter_ms is None else jitter_impairment(
+            profile, max(profile.jitter_t_ms, sample.jitter_ms)
+        ),
+    }
+    r_factors = {c: None if t is None else profile.r0 - t for c, t in terms.items()}
+    mos = {c: MOS_MIN if r is None else mos_from_r(r) for c, r in r_factors.items()}
     return mos, r_factors
 
 
@@ -242,12 +204,16 @@ def score(
     return score_row(sample, model, profile)[0]["overall"]
 
 
-def load_models(path: str | Path) -> list[CompositeModel]:
-    """Register models from a JSON config.
+def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
+    """A new dict of the presets plus the models of a JSON config, by name;
+    of the presets alone when ``path`` is None.
 
     Accepts one model object {name, criteria: [...], weights: [...]} or a
     list of them (optionally under a top-level "models" key).
     """
+    models = dict(PRESETS)
+    if not path:
+        return models
     data = read_json(path, "model config")
     field = "model config"
     if isinstance(data, dict) and "models" in data:
@@ -259,7 +225,6 @@ def load_models(path: str | Path) -> list[CompositeModel]:
             f"{path}: {field} must be a model object or a list of them, "
             f"got {type(data).__name__}"
         )
-    registered = []
     for entry in data:
         try:
             criteria = json_object(entry, f"{path}: model entry")["criteria"]
@@ -270,14 +235,12 @@ def load_models(path: str | Path) -> list[CompositeModel]:
                     f"{path}: model field criteria must be a list of strings, "
                     f"got {criteria!r}"
                 )
-            registered.append(
-                register_model(
-                    str(entry["name"]),
-                    entry["weights"],
-                    tuple(criteria),
-                    scale=str(entry.get("scale", "mos-5pt")),
-                )
+            name, weights = str(entry["name"]), entry["weights"]
+            if name in models:
+                raise ValueError(f"model {name!r} is already registered")
+            models[name] = make_model(
+                name, weights, criteria, str(entry.get("scale", "mos-5pt"))
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed model entry: {exc}") from exc
-    return registered
+    return models

@@ -26,6 +26,13 @@ PARETO_H_MIN = 0.55
 PARETO_H_MAX = 0.9
 
 
+def check_finite(fields) -> None:
+    """Reject a NaN or infinite float attribute of ``fields``, naming it."""
+    for name, value in vars(fields).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CodecProfile:
     """Constant set specializing the rating model to one codec.
@@ -51,6 +58,7 @@ class CodecProfile:
     jitter_k: float = 30.0
 
     def __post_init__(self) -> None:
+        check_finite(self)
         if not 0.0 < self.r0 <= 100.0:
             raise ValueError(f"r0 must be within (0, 100], got {self.r0}")
         if not PARETO_H_MIN <= self.pareto_h <= PARETO_H_MAX:

@@ -19,7 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .composite import QosSample
-from .emodel import PARETO_H_MAX, PARETO_H_MIN, json_number, json_object, read_json
+from .emodel import (
+    PARETO_H_MAX, PARETO_H_MIN, check_finite, json_number, json_object, read_json
+)
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
 JITTER_ESTIMATORS = ("rfc3550", "mean-abs")
@@ -143,9 +145,7 @@ class ImpairmentSpec:
 
     def __post_init__(self) -> None:
         lo, hi, models = PARETO_H_MIN, PARETO_H_MAX, JITTER_MODELS
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_finite(self)
         for ok, message in (
             (0.0 <= self.loss_prob <= 1.0, "loss_prob must be within [0, 1]"),
             (self.base_delay_ms >= 0, "base_delay_ms must be >= 0"),
@@ -275,7 +275,12 @@ def windows(
     coverage_end = t_end + (trace.interval_ms or 0.0)
     window_of = ((trace.send - t0) // win_ms).astype(np.int64)
     n = int(window_of.max()) + 1
-    m = window_metrics(trace, window_of, n, jitter_estimator)
+    try:  # the kernel's arrays have one cell per window
+        m = window_metrics(trace, window_of, n, jitter_estimator)
+    except MemoryError:
+        raise ValueError(
+            f"window_len_s {window_len_s} gives {n} windows, too many to allocate"
+        ) from None
     out = []
     for idx, (expected, received, loss, delay, jitter) in enumerate(
         zip(*(column.tolist() for column in m[1:]))

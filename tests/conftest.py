@@ -4,8 +4,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qoekit import composite
-
 DATA_DIR = Path(__file__).parent / "data"
 
 # Reference elicitation-study values reproduced by the golden tests:
@@ -65,12 +63,3 @@ def renderings(lo, hi, decimals=PUBLISHED_DECIMALS):
 @pytest.fixture
 def data_dir():
     return DATA_DIR
-
-
-@pytest.fixture
-def model_registry():
-    """Snapshot the model registry and restore it after the test."""
-    snapshot = dict(composite._REGISTRY)
-    yield composite._REGISTRY
-    composite._REGISTRY.clear()
-    composite._REGISTRY.update(snapshot)

@@ -44,7 +44,7 @@ from qoekit import (
     mos_from_r,
     score,
 )
-from qoekit.composite import _REGISTRY
+from qoekit.composite import PRESETS as _REGISTRY
 from qoekit.trace import ImpairmentSpec, PacketRecord, Trace
 from qoekit.cli import main
 from conftest import (

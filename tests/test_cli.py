@@ -342,14 +342,17 @@ def test_mos_range_violation_named(capsys):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--delay", "nan"), ("--delay", "inf"), ("--jitter", "nan"), ("--jitter", "inf")],
+    [
+        ("--delay", "nan"), ("--delay", "inf"), ("--jitter", "nan"), ("--jitter", "inf"),
+        ("--jitter-t", "nan"), ("--jitter-t", "inf"),
+    ],
 )
 def test_mos_rejects_non_finite_input(capsys, flag, value):
     argv = {"--loss": "1.0", "--delay": "100", "--jitter": "5", flag: value}
     code, out, err = run(capsys, "mos", *(x for kv in argv.items() for x in kv))
     assert code == 2
     assert out == ""
-    assert f"{flag[2:]}_ms must be finite" in err
+    assert f"{flag[2:].replace('-', '_')}_ms must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -579,14 +582,24 @@ def test_trace_analyze_reports_malformed_line(tmp_path, capsys):
     assert "line 3" in err
 
 
-@pytest.mark.parametrize("recv", ["nan", "inf"])
-def test_trace_analyze_rejects_non_finite_row(tmp_path, capsys, recv):
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_trace_analyze_rejects_non_finite_row(tmp_path, capsys, value):
     bad = tmp_path / "bad.csv"
-    bad.write_text(f"seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,20.0,{recv}\n")
+    bad.write_text(f"seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,20.0,{value}\n")
     report = tmp_path / "report.json"
     code, out, err = run(capsys, "trace", "analyze", str(bad), "--out", str(report))
     assert code == 2
     assert "line 3" in err and "recv_ts_ms must be finite" in err
+    assert out == ""
+    assert not report.exists()
+    # a non-finite profile override on a good trace
+    good = tmp_path / "good.csv"
+    good.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,20.0,121.0\n")
+    code, out, err = run(
+        capsys, "trace", "analyze", str(good), "--jitter-t", value, "--out", str(report)
+    )
+    assert code == 2
+    assert f"jitter_t_ms must be finite, got {value}" in err
     assert out == ""
     assert not report.exists()
 
@@ -613,17 +626,22 @@ def test_trace_analyze_report_hash_tracks_input(tmp_path, capsys):
 
 
 def test_trace_analyze_rejects_overflowing_window(tmp_path, capsys):
-    # 1e308 s is finite, but 1e311 ms is not
     trace_csv = tmp_path / "trace.csv"
     trace_csv.write_text("seq,send_ts_ms,recv_ts_ms\n1,0,100\n2,20,121\n3,40,139\n")
     report, table = tmp_path / "report.json", tmp_path / "report.csv"
-    for outputs in (["--out", str(report)], ["--csv", str(table)]):
-        code, out, err = run(
-            capsys, "trace", "analyze", str(trace_csv), "--window", "1e308", *outputs
-        )
-        assert code == 2
-        assert out == ""
-        assert "window_len_s" in err
+    for window, message in (
+        # 1e308 s is finite, but 1e311 ms is not
+        ("1e308", "window_len_s must be > 0"),
+        # 4e15 windows: the kernel's per-window arrays are refused at once
+        ("1e-17", "window_len_s 1e-17 gives 4000000000000001 windows"),
+    ):
+        for outputs in (["--out", str(report)], ["--csv", str(table)]):
+            code, out, err = run(
+                capsys, "trace", "analyze", str(trace_csv), "--window", window, *outputs
+            )
+            assert code == 2
+            assert out == ""
+            assert message in err
     assert not report.exists() and not table.exists()
 
 
@@ -641,7 +659,7 @@ def floored_partial_trace(path):
 
 @pytest.mark.parametrize("estimator", ["rfc3550", "mean-abs"])
 def test_trace_analyze_report_matches_json_text(
-    tmp_path, capsys, model_registry, estimator
+    tmp_path, capsys, estimator
 ):
     trace_csv = floored_partial_trace(tmp_path / "trace.csv")
     profile = json.loads((DATA_DIR / "profile_zeroed_jitter.json").read_text())
@@ -711,7 +729,7 @@ def test_models_list(capsys):
     assert "video-application" in out
 
 
-def test_models_list_with_config(tmp_path, capsys, model_registry):
+def test_models_list_with_config(tmp_path, capsys):
     config = tmp_path / "models.json"
     config.write_text(
         '[{"name": "zz-custom", "criteria": ["loss", "delay", "jitter"],'
@@ -740,7 +758,7 @@ def test_models_list_with_config(tmp_path, capsys, model_registry):
     ids=["number", "models-number", "entry-number", "criteria-string", "criterion-number"],
 )
 def test_models_config_rejects_ill_typed_document(
-    tmp_path, capsys, model_registry, document, message
+    tmp_path, capsys, document, message
 ):
     config = tmp_path / "models.json"
     config.write_text(document)
@@ -748,4 +766,38 @@ def test_models_config_rejects_ill_typed_document(
     assert code == 2
     assert out == ""
     assert message in err
-    assert "zc" not in model_registry
+    assert "zc" not in run(capsys, "models", "list")[1]
+
+
+def test_commands_leave_no_state_behind(tmp_path, capsys):
+    # each command run twice in one process, as a benchmark worker runs them
+    trace_csv = floored_partial_trace(tmp_path / "trace.csv")
+    config = tmp_path / "models.json"
+    config.write_text(
+        '{"name": "zc", "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2]}'
+    )
+    zc = ["--models-config", str(config), "--model", "zc"]
+    for argv in (
+        ["models", "list"],
+        ["models", "list", "--models-config", str(config)],
+        ["mos", "--loss", "1", "--delay", "50"],
+        ["mos", "--loss", "1", "--delay", "50", *zc],
+        ["trace", "analyze", trace_csv, "--window", "0.1"],
+        ["trace", "analyze", trace_csv, "--window", "0.1", *zc],
+    ):
+        first = run(capsys, *argv)[:2]
+        assert first[0] == 0
+        assert run(capsys, *argv)[:2] == first
+    # the first entry is valid, the second's weights sum to 1.2
+    config.write_text(
+        '[{"name": "zd", "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2]},'
+        ' {"name": "ze", "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.5, 0.2]}]'
+    )
+    assert run(capsys, "models", "list", "--models-config", str(config))[0] == 2
+    assert run(capsys, "models", "list")[1].splitlines() == [
+        "paper-5g-ahp [mos-5pt] loss=0.550 delay=0.250 jitter=0.200",
+        "video-application [normalized-score] "
+        "bit_rate=0.260 frame_rate=0.630 resolution=0.110",
+        "video-network [normalized-score] "
+        "loss=0.260 jitter=0.550 throughput=0.070 ars=0.120",
+    ]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qoekit import (
     G729,
+    PRESETS,
     CodecProfile,
     CompositeModel,
     PairwiseMatrix,
@@ -17,10 +18,9 @@ from qoekit import (
     component_mos,
     get_model,
     jitter_impairment,
-    list_models,
     load_models,
+    make_model,
     mos_from_r,
-    register_model,
     score,
 )
 from conftest import CRITERIA, REFERENCE_MATRIX
@@ -99,9 +99,9 @@ def test_combine_permutation_invariant():
     assert combine(PAPER, comps) == combine(PAPER, reordered)
 
 
-def test_combine_invariant_under_simultaneous_reordering(model_registry):
+def test_combine_invariant_under_simultaneous_reordering():
     # reorder the model's weights together with the components
-    shuffled = register_model(
+    shuffled = make_model(
         "shuffled", (0.20, 0.55, 0.25), ("jitter", "loss", "delay")
     )
     comps = {"loss": 2.0, "delay": 4.0, "jitter": 3.0}
@@ -232,7 +232,7 @@ def test_score_requires_voice_criteria():
 
 
 # ---------------------------------------------------------------------------
-# registry
+# models
 
 def test_builtin_presets_sum_exactly_to_one():
     assert sum(PAPER.weights.values) == 1.0
@@ -245,35 +245,30 @@ def test_builtin_presets_sum_exactly_to_one():
     assert video_app.weights.values == (0.26, 0.63, 0.11)
 
 
-def test_register_accepts_exact_weights(model_registry):
-    model = register_model("exact", (0.55, 0.25, 0.20), CRITERIA)
+def test_register_accepts_exact_weights():
+    model = make_model("exact", (0.55, 0.25, 0.20), CRITERIA)
     assert model.weights.values == (0.55, 0.25, 0.20)
 
 
-def test_register_renormalizes_table_rounding(model_registry):
+def test_register_renormalizes_table_rounding():
     # two-decimal table rounding, and a sum just beyond the exact tolerance
     for name, first in (("rounded", 0.56), ("near", 0.5500005)):
         with pytest.warns(UserWarning, match="renormalizing"):
-            model = register_model(name, (first, 0.25, 0.20), CRITERIA)
-        assert get_model(name) is model
+            model = make_model(name, (first, 0.25, 0.20), CRITERIA)
+        assert (model.name, model.criteria) == (name, CRITERIA)
         assert sum(model.weights.values) == pytest.approx(1.0, abs=1e-12)
         total = first + 0.25 + 0.20
         assert model.weights.values[0] == pytest.approx(first / total, abs=1e-12)
 
 
-def test_register_rejects_bad_sum(model_registry):
+def test_register_rejects_bad_sum():
     with pytest.raises(ValueError, match="away from 1"):
-        register_model("bad", (0.5, 0.25, 0.20), CRITERIA)
+        make_model("bad", (0.5, 0.25, 0.20), CRITERIA)
 
 
-def test_register_rejects_duplicate(model_registry):
-    with pytest.raises(ValueError, match="already registered"):
-        register_model("paper-5g-ahp", (0.55, 0.25, 0.20), CRITERIA)
-
-
-def test_register_weights_from_reference_matrix(model_registry):
+def test_register_weights_from_reference_matrix():
     weights, _ = column_average_weights(PairwiseMatrix(CRITERIA, REFERENCE_MATRIX))
-    model = register_model("derived", weights.values, weights.criteria)
+    model = make_model("derived", weights.values, weights.criteria)
     for criterion in CRITERIA:
         assert model.weights[criterion] == pytest.approx(
             PAPER.weights[criterion], abs=0.005
@@ -325,25 +320,48 @@ def test_jitter_term_matches_profile_with_raised_buffer(profile, offset):
     )
 
 
-def test_list_models_contains_presets():
-    names = [m.name for m in list_models()]
-    assert names == sorted(names)
-    for name in ("paper-5g-ahp", "video-network", "video-application"):
-        assert name in names
+def test_presets_table():
+    assert list(PRESETS) == ["paper-5g-ahp", "video-network", "video-application"]
+    assert all(name == model.name for name, model in PRESETS.items())
+    with pytest.raises(TypeError):
+        PRESETS["x"] = PAPER
+    assert load_models(None) == dict(PRESETS)
 
 
-def test_load_models_config(model_registry, tmp_path):
+def test_load_models_config(tmp_path):
     config = tmp_path / "models.json"
     config.write_text(
         '{"models": [{"name": "custom", "criteria": ["loss", "delay", "jitter"],'
         ' "weights": [0.5, 0.3, 0.2], "scale": "mos-5pt"}]}'
     )
-    registered = load_models(config)
-    assert [m.name for m in registered] == ["custom"]
-    assert get_model("custom").weights.values == (0.5, 0.3, 0.2)
+    models = load_models(config)
+    assert list(models) == [*PRESETS, "custom"]
+    assert get_model("custom", models).weights.values == (0.5, 0.3, 0.2)
+    assert "custom" not in PRESETS
 
 
-def test_load_models_config_malformed(model_registry, tmp_path):
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ('{"name": "paper-5g-ahp", %s}', "model 'paper-5g-ahp' is already registered"),
+        ('[{"name": "x", %s}, {"name": "x", %s}]', "model 'x' is already registered"),
+        # the entry's fields are read before its name is checked
+        (
+            '[{"name": "x", %s}, {"name": "x", "criteria": []}]',
+            "malformed model entry: 'weights'",
+        ),
+    ],
+    ids=["preset", "within-file", "no-weights"],
+)
+def test_load_models_rejects_duplicate(tmp_path, entries, message):
+    fields = '"criteria": ["loss", "delay", "jitter"], "weights": [0.55, 0.25, 0.2]'
+    config = tmp_path / "models.json"
+    config.write_text(entries.replace("%s", fields))
+    with pytest.raises(ValueError, match=message):
+        load_models(config)
+
+
+def test_load_models_config_malformed(tmp_path):
     config = tmp_path / "models.json"
     config.write_text('[{"name": "x", "weights": [1.0]}]')
     with pytest.raises(ValueError, match="malformed model entry"):
@@ -360,4 +378,4 @@ def test_load_models_config_malformed(model_registry, tmp_path):
         message = f"model 'x' weight must be a finite number, got {got}"
         with pytest.raises(ValueError, match=message):
             load_models(config)
-    assert "x" not in [m.name for m in list_models()]
+    assert "x" not in load_models(None)

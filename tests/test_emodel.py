@@ -153,6 +153,13 @@ def test_profile_validation():
         zeroed_jitter_profile(jitter_t_ms=-1.0)
     with pytest.raises(ValueError, match="jitter_k"):
         zeroed_jitter_profile(jitter_k=0.0)
+    # every float field must be finite; NaN passes a one-sided range check
+    for field, value in (
+        ("jitter_t_ms", math.nan), ("jitter_t_ms", math.inf),
+        ("jitter_k", math.nan), ("jitter_k", math.inf), ("loss_b", -math.inf),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            zeroed_jitter_profile(**{field: value})
 
 
 def test_profile_json_roundtrip(tmp_path):

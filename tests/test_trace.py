@@ -238,6 +238,9 @@ def test_windows_validation():
     # so small that the latest send's window index overflows int64
     with pytest.raises(ValueError, match="window_len_s"):
         windows(make_trace([80.0, 80.0, 80.0]), 1e-300)
+    # fits int64, but 4e15 windows' arrays are refused at once
+    with pytest.raises(ValueError, match="window_len_s 1e-17 gives 4000000000000001"):
+        windows(make_trace([80.0, 80.0, 80.0]), 1e-17)
     with pytest.raises(ValueError, match="jitter_estimator"):
         windows(trace, 1.0, jitter_estimator="median")
 
