@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emodel import json_number, read_json
+from .emodel import json_number, json_string, read_json
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -69,11 +69,8 @@ class JudgmentSet:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(
-            self,
-            "judgments",
-            {(str(a), str(b)): float(v) for (a, b), v in self.judgments.items()},
-        )
+        judgments = {pair: float(v) for pair, v in self.judgments.items()}
+        object.__setattr__(self, "judgments", judgments)
         _check_criteria(self.criteria)
         seen: set[frozenset[str]] = set()
         for (a, b), value in self.judgments.items():
@@ -288,14 +285,15 @@ def read_judgments(path: str | Path) -> JudgmentSet:
     "judgments": [{"a": ..., "b": ..., "value": ...}, ...]}.
     """
     data = read_json(path, "judgment")
+    prefix = f"{path}: judgment field"
     try:
         judgments = {}
         for j in data["judgments"]:
-            a, b = str(j["a"]), str(j["b"])
+            a, b = json_string(j["a"], f"{prefix} a"), json_string(j["b"], f"{prefix} b")
             judgments[(a, b)] = json_number(j["value"], f"judgment {a!r} vs {b!r} value")
         return JudgmentSet(
-            evaluator_id=str(data["evaluator_id"]),
-            criteria=tuple(data["criteria"]),
+            evaluator_id=json_string(data["evaluator_id"], f"{prefix} evaluator_id"),
+            criteria=json_string(data["criteria"], f"{prefix} criteria", many=True),
             judgments=judgments,
         )
     except (KeyError, TypeError) as exc:

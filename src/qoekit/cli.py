@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, replace
 from fractions import Fraction
 from itertools import combinations
@@ -74,8 +75,7 @@ def load_config(path: str | None) -> dict:
     data = emodel.read_json(path, "config")
     emodel.json_object(data, f"{path}: config")
     for key in ("model", "profile"):
-        if not isinstance(data.get(key, ""), str):
-            raise ValueError(f"{path}: config field {key} must be a string")
+        emodel.json_string(data.get(key, ""), f"{path}: config field {key}")
     if "window_s" in data:
         emodel.json_number(data["window_s"], f"{path}: config field window_s")
     return data
@@ -258,7 +258,6 @@ def print_weights_and_consistency(
 def cmd_ahp_weights(args: argparse.Namespace) -> int:
     if args.matrix and args.judgments:
         raise ValueError("give either judgment files or --matrix, not both")
-    inputs: list[Path]
     if args.matrix:
         matrix = ahp.read_matrix_csv(args.matrix)
         inputs = [Path(args.matrix)]
@@ -271,10 +270,8 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
     else:
         raise ValueError("at least one judgment file (or --matrix) is required")
 
-    col_weights, normalized = ahp.column_average_weights(matrix)
-    if args.method == "column-average":
-        weights = col_weights
-    else:
+    weights, normalized = ahp.column_average_weights(matrix)
+    if args.method == "eigenvector":
         weights = ahp.eigenvector_weights(matrix)
     report = ahp.consistency(matrix)
 
@@ -616,14 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():  # a UserWarning is one stderr line, never an error
+        warnings.simplefilter("always", UserWarning)
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .emodel import (
     jitter_impairment,
     json_number,
     json_object,
+    json_string,
     loss_impairment,
     mos_from_r,
     read_json,
@@ -92,19 +93,17 @@ def make_model(
     """
     values = tuple(json_number(v, f"model {name!r} weight") for v in weights)
     total = sum(values)
-    if abs(total - 1.0) <= WEIGHT_SUM_TOL:
-        pass
-    elif abs(total - 1.0) <= WEIGHT_SUM_RENORM:
+    if not abs(total - 1.0) <= WEIGHT_SUM_RENORM:  # NaN fails too
+        raise ValueError(
+            f"model {name!r}: weights sum to {total:.6f}, "
+            f"more than {WEIGHT_SUM_RENORM} away from 1"
+        )
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
         warnings.warn(
             f"model {name!r}: weights sum to {total:.6f}; renormalizing",
             stacklevel=2,
         )
         values = tuple(v / total for v in values)
-    else:
-        raise ValueError(
-            f"model {name!r}: weights sum to {total:.6f}, "
-            f"more than {WEIGHT_SUM_RENORM} away from 1"
-        )
     return CompositeModel(name, WeightVector(tuple(criteria), values), scale)
 
 
@@ -225,22 +224,20 @@ def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
             f"{path}: {field} must be a model object or a list of them, "
             f"got {type(data).__name__}"
         )
+    prefix = f"{path}: model field"
     for entry in data:
         try:
-            criteria = json_object(entry, f"{path}: model entry")["criteria"]
-            if not isinstance(criteria, list) or not all(
-                isinstance(c, str) for c in criteria
-            ):
-                raise ValueError(
-                    f"{path}: model field criteria must be a list of strings, "
-                    f"got {criteria!r}"
-                )
-            name, weights = str(entry["name"]), entry["weights"]
+            json_object(entry, f"{path}: model entry")
+            criteria = json_string(entry["criteria"], f"{prefix} criteria", many=True)
+            name, weights = json_string(entry["name"], f"{prefix} name"), entry["weights"]
             if name in models:
                 raise ValueError(f"model {name!r} is already registered")
-            models[name] = make_model(
-                name, weights, criteria, str(entry.get("scale", "mos-5pt"))
-            )
+            scale = json_string(entry.get("scale", "mos-5pt"), f"{prefix} scale")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                models[name] = make_model(name, weights, criteria, scale)
+            for warning in caught:  # name the file, not a line of this module
+                warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"{path}: malformed model entry: {exc}") from exc
     return models

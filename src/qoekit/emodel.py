@@ -166,6 +166,15 @@ def read_json(path: str | Path, what: str):
             raise ValueError(f"{path}: invalid {what} JSON: {exc}") from exc
 
 
+def json_string(value, field: str, many: bool = False) -> str | tuple[str, ...]:
+    """A JSON string (a tuple of them from a JSON list, with ``many``), else a
+    ValueError naming ``field``: numbers, null and a lone string for a list fail."""
+    kind, cls = ("a list of strings", list) if many else ("a string", str)
+    if not isinstance(value, cls) or many and not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return tuple(value) if many else value
+
+
 def json_object(value, field: str) -> dict:
     """``value`` if it is a JSON object, else a ValueError naming ``field``."""
     if not isinstance(value, dict):
@@ -192,7 +201,7 @@ def profile_from_dict(data: dict) -> CodecProfile:
             "jitter_t_ms": jitter.get("t_ms", G729.jitter_t_ms),
             "jitter_k": jitter.get("k", G729.jitter_k),
         }
-        name = str(data["name"])
+        name = json_string(data["name"], "profile field name")
     except KeyError as exc:
         raise ValueError(f"profile is missing required field {exc}") from exc
     return CodecProfile(name, **{f: json_number(v, f) for f, v in fields.items()})

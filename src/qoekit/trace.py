@@ -20,7 +20,8 @@ import numpy as np
 
 from .composite import QosSample
 from .emodel import (
-    PARETO_H_MAX, PARETO_H_MIN, check_finite, json_number, json_object, read_json
+    PARETO_H_MAX, PARETO_H_MIN, check_finite, json_number, json_object, json_string,
+    read_json,
 )
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
@@ -41,8 +42,10 @@ class PacketRecord:
     def __post_init__(self) -> None:
         if self.seq < 0:
             raise ValueError(f"seq must be nonnegative, got {self.seq}")
-        if not math.isfinite(self.send_ts_ms + (self.recv_ts_ms or 0.0)):
-            raise ValueError(f"seq {self.seq}: timestamps must be finite")
+        for name in TRACE_HEADER[1:]:  # the messages of _check_columns
+            value = getattr(self, name)
+            if not math.isfinite(value or 0.0):
+                raise ValueError(f"seq {self.seq}: {name} must be finite, got {value}")
         if self.recv_ts_ms is not None and self.recv_ts_ms < self.send_ts_ms:
             raise ValueError(
                 f"seq {self.seq}: recv_ts_ms {self.recv_ts_ms} precedes "
@@ -80,27 +83,25 @@ def _check_columns(seq, send, recv, where=lambda i: "") -> None:
 class Trace:
     """Nonempty, read-only packet columns ordered by strictly increasing seq.
 
-    ``Trace(records)`` checks :class:`PacketRecord` objects into columns;
-    ``columns=(seq, send, recv)`` takes checked arrays as they are.
+    ``Trace(records)`` takes :class:`PacketRecord` objects, ``columns=(seq,
+    send, recv)`` takes arrays, and :func:`_check_columns` checks either.
     """
 
     def __init__(
         self, packets=(), interval_ms: float | None = None,
         *, columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
-        if columns is None:
+        if columns is None:  # a None receive time becomes NaN
             packets = tuple(packets)
-            columns = (
-                np.array([p.seq for p in packets], dtype=np.int64),
-                np.array([p.send_ts_ms for p in packets], dtype=np.float64),
-                np.array([p.recv_ts_ms for p in packets], dtype=np.float64),
-            )  # a None receive time becomes NaN
-            _check_columns(*columns)
-        if not len(columns[0]):
+            columns = [[getattr(p, name) for p in packets] for name in TRACE_HEADER]
+        seq = np.asarray(columns[0], np.int64)
+        send, recv = (np.asarray(c, np.float64) for c in columns[1:])
+        if not len(seq):
             raise ValueError("trace must contain at least one packet")
-        for column in columns:
+        _check_columns(seq, send, recv)
+        for column in (seq, send, recv):
             column.flags.writeable = False
-        self.seq, self.send, self.recv = columns
+        self.seq, self.send, self.recv = seq, send, recv
         self.interval_ms = interval_ms
 
     @property
@@ -404,7 +405,7 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
         raise ValueError(f"spec is missing required field {exc}") from exc
     return ImpairmentSpec(
         rng_seed=json_number(data["rng_seed"], "rng_seed", integer=True),
-        jitter_model=str(jitter["model"]),
+        jitter_model=json_string(jitter["model"], "jitter_model"),
         **{name: json_number(value, name) for name, value in fields.items()},
     )
 

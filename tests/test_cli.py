@@ -215,6 +215,33 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
     assert "covers criteria" in err
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"criteria": "ab"}, "judgment field criteria must be a list of strings, got 'ab'"),
+        ({"criteria": ["a", 2]}, "judgment field criteria must be a list of strings"),
+        ({"evaluator_id": 7}, "judgment field evaluator_id must be a string, got 7"),
+        (
+            {"judgments": [{"a": "a", "b": 2, "value": 3}]},
+            "judgment field b must be a string, got 2",
+        ),
+    ],
+    ids=["criteria-string", "criterion-number", "evaluator-number", "pair-number"],
+)
+def test_weights_rejects_ill_typed_judgment_file(tmp_path, capsys, fields, message):
+    path = tmp_path / "e.json"
+    judgment = {
+        "evaluator_id": "e",
+        "criteria": ["a", "b"],
+        "judgments": [{"a": "a", "b": "b", "value": 3}],
+    }
+    path.write_text(json.dumps({**judgment, **fields}))
+    code, out, err = run(capsys, "ahp", "weights", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}: {message}" in err
+
+
 def test_weights_methods_agree_on_consistent_judgments(tmp_path, capsys):
     judgment = tmp_path / "e.json"
     judgment.write_text(
@@ -754,8 +781,20 @@ def test_models_list_with_config(tmp_path, capsys):
             '[{"name": "zc", "criteria": ["loss", 3, "jitter"], "weights": [0.5, 0.3, 0.2]}]',
             "model field criteria must be a list of strings",
         ),
+        (
+            '{"name": 5, "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2]}',
+            "model field name must be a string, got 5",
+        ),
+        (
+            '{"name": "zc", "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2],'
+            ' "scale": ["mos-5pt"]}',
+            "model field scale must be a string, got ['mos-5pt']",
+        ),
     ],
-    ids=["number", "models-number", "entry-number", "criteria-string", "criterion-number"],
+    ids=[
+        "number", "models-number", "entry-number", "criteria-string", "criterion-number",
+        "name-number", "scale-list",
+    ],
 )
 def test_models_config_rejects_ill_typed_document(
     tmp_path, capsys, document, message
@@ -767,6 +806,19 @@ def test_models_config_rejects_ill_typed_document(
     assert out == ""
     assert message in err
     assert "zc" not in run(capsys, "models", "list")[1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_models_config_renormalization_warning_names_the_file(tmp_path, capsys):
+    # printed as a message, not raised, even where warnings are errors
+    config = tmp_path / "models.json"
+    config.write_text(
+        '{"name": "zr", "criteria": ["loss", "delay", "jitter"], "weights": [0.56, 0.25, 0.2]}'
+    )
+    code, out, err = run(capsys, "models", "list", "--models-config", str(config))
+    assert code == 0
+    assert "zr [mos-5pt] loss=0.554 delay=0.248 jitter=0.198" in out.splitlines()
+    assert err == f"warning: {config}: model 'zr': weights sum to 1.010000; renormalizing\n"
 
 
 def test_commands_leave_no_state_behind(tmp_path, capsys):

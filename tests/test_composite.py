@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +381,27 @@ def test_load_models_config_malformed(tmp_path):
         with pytest.raises(ValueError, match=message):
             load_models(config)
     assert "x" not in load_models(None)
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # the README's "Library example" imports from the package, as users do;
+    # each value in a print line's comment must match the output at its precision
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [ln.split("#", 1)[1] for ln in code.splitlines() if ln.startswith("print(")]
+    assert len(printed) == len(comments)
+    number = re.compile(r"-?\d+\.(\d+)")
+    checked = []
+    for out, comment in zip(printed, comments):
+        shown = [(float(m[0]), len(m[1])) for m in number.finditer(comment)]
+        if shown:
+            values = [float(m[0]) for m in number.finditer(out)]
+            assert len(values) == len(shown), out
+            assert [round(v, dp) for v, (_, dp) in zip(values, shown)] == [
+                value for value, _ in shown
+            ], out
+            checked += [value for value, _ in shown]
+    assert checked == [3.747, 4.347, 3.629, 3.873, 3.903]

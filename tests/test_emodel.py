@@ -178,6 +178,7 @@ def test_profile_json_missing_field(tmp_path):
         ({**G729_DOCUMENT, "loss": [11, 40, 10]}, "profile field loss must be a JSON"),
         ({**G729_DOCUMENT, "jitter": 0.6}, "profile field jitter must be a JSON"),
         ([G729_DOCUMENT], "profile must be a JSON object, got list"),
+        ({**G729_DOCUMENT, "name": 729}, "profile field name must be a string, got 729"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from qoekit import (
@@ -333,6 +336,7 @@ def test_impairment_spec_validation_names_fields():
         ("packet_interval_ms", "20", "packet_interval_ms must be a finite number"),
         ("rng_seed", 1.7, "rng_seed must be an integer, got 1.7"),
         ("rng_seed", False, "rng_seed must be an integer, got False"),
+        ("jitter", {"model": 5}, "jitter_model must be a string, got 5"),
     ):
         with pytest.raises(ValueError, match=message):
             spec_from_dict({**valid, field: value})
@@ -377,8 +381,21 @@ def test_record_validation():
 def test_trace_validation():
     with pytest.raises(ValueError, match="at least one"):
         Trace(())
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Trace((PacketRecord(2, 0.0, 1.0), PacketRecord(2, 20.0, 21.0)))
+    with pytest.raises(ValueError, match="at least one"):
+        Trace(columns=((), (), ()))
+    # records and columns meet the same checks, with the same messages
+    for rows, message in (
+        ([(2, 0.0, 1.0), (2, 20.0, 21.0)], "seq must be strictly increasing, got 2 then 2"),
+        ([(3, 0.0, 1.0), (2, 20.0, 21.0)], "seq must be strictly increasing, got 3 then 2"),
+        ([(1, 0.0, 1.0), (2, 20.0, 5.0)], "seq 2: recv_ts_ms 5.0 precedes send_ts_ms 20.0"),
+        ([(1, 0.0, 1.0), (2, 20.0, math.inf)], "seq 2: recv_ts_ms must be finite, got inf"),
+        ([(1, 0.0, 1.0), (-1, 20.0, 21.0)], "seq must be nonnegative, got -1"),
+    ):
+        with pytest.raises(ValueError) as from_records:
+            Trace([PacketRecord(*row) for row in rows])
+        with pytest.raises(ValueError) as from_columns:
+            Trace(columns=tuple(np.array(column) for column in zip(*rows)))
+        assert str(from_records.value) == str(from_columns.value) == message
 
 
 def test_trace_csv_round_trip(tmp_path):
