@@ -68,8 +68,13 @@ class JudgmentSet:
     judgments: dict[tuple[str, str], float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        judgments = {pair: float(v) for pair, v in self.judgments.items()}
+        json_string(self.evaluator_id, "evaluator_id")
+        criteria = json_string(self.criteria, "criteria", many=True)
+        judgments = {
+            (a, b): json_number(v, f"judgment {a!r} vs {b!r} value")
+            for (a, b), v in self.judgments.items()
+        }
+        object.__setattr__(self, "criteria", criteria)
         object.__setattr__(self, "judgments", judgments)
         _check_criteria(self.criteria)
         seen: set[frozenset[str]] = set()

@@ -167,9 +167,10 @@ def read_json(path: str | Path, what: str):
 
 
 def json_string(value, field: str, many: bool = False) -> str | tuple[str, ...]:
-    """A JSON string (a tuple of them from a JSON list, with ``many``), else a
-    ValueError naming ``field``: numbers, null and a lone string for a list fail."""
-    kind, cls = ("a list of strings", list) if many else ("a string", str)
+    """A JSON string (a tuple of them from a JSON list or a tuple, with
+    ``many``), else a ValueError naming ``field``: numbers, null and a lone
+    string for a list fail."""
+    kind, cls = ("a list of strings", (list, tuple)) if many else ("a string", str)
     if not isinstance(value, cls) or many and not all(isinstance(v, str) for v in value):
         raise ValueError(f"{field} must be {kind}, got {value!r}")
     return tuple(value) if many else value

@@ -10,8 +10,10 @@ only.  Generated traces are deterministic for a given seed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import random
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +42,7 @@ class PacketRecord:
     recv_ts_ms: float | None = None
 
     def __post_init__(self) -> None:
+        _check_seq_type([self.seq])
         if self.seq < 0:
             raise ValueError(f"seq must be nonnegative, got {self.seq}")
         for name in TRACE_HEADER[1:]:  # the messages of _check_columns
@@ -61,6 +64,14 @@ class PacketRecord:
         if self.recv_ts_ms is None:
             raise ValueError(f"seq {self.seq} was lost; no delay")
         return self.recv_ts_ms - self.send_ts_ms
+
+
+def _check_seq_type(seqs) -> None:
+    """Raise for the first seq that is not an integer: a float such as 1.5
+    would be truncated, and a bool is no sequence number."""
+    for s in seqs:
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"seq must be an integer, got {s!r}")
 
 
 def _check_columns(seq, send, recv, where=lambda i: "") -> None:
@@ -94,6 +105,10 @@ class Trace:
         if columns is None:  # a None receive time becomes NaN
             packets = tuple(packets)
             columns = [[getattr(p, name) for p in packets] for name in TRACE_HEADER]
+        seq = np.asarray(columns[0])
+        if seq.dtype.kind not in "iu":  # name a listed seq as given, not upcast
+            given = columns[0] if isinstance(columns[0], (list, tuple)) else seq.tolist()
+            _check_seq_type(given)
         seq = np.asarray(columns[0], np.int64)
         send, recv = (np.asarray(c, np.float64) for c in columns[1:])
         if not len(seq):
@@ -341,9 +356,76 @@ def trace_to_csv_text(trace: Trace) -> str:
 def read_trace(path: str | Path) -> Trace:
     """Read a CSV trace, naming the line of a malformed row; skip blank rows.
 
-    The nominal inter-packet interval is the median send-time delta (None
-    for single-packet traces).
+    A plain numeric file is parsed in bulk (:func:`_read_blocks`); any
+    other file goes through the row loop (:func:`_read_rows`), which gives
+    the same trace or names the bad line.  The nominal inter-packet
+    interval is the median send-time delta (None for single-packet traces).
     """
+    columns, lines = _read_blocks(path) or _read_rows(path)
+    _check_columns(*columns, where=lambda i: f"{path}: line {lines[i]}: ")
+    interval_ms = None
+    if len(columns[0]) > 1:
+        deltas = np.diff(columns[1])
+        interval_ms = np.partition(deltas, len(deltas) // 2)[len(deltas) // 2].item()
+    return Trace(interval_ms=interval_ms, columns=columns)
+
+
+#: Bytes of CSV text per numpy parse; each block is extended to a line end.
+_BLOCK_BYTES = 1 << 20
+#: The only bytes of a block that is parsed in bulk: no letter (so no
+#: literal nan or inf), space, quote or tab.
+_NUMERIC = b"0123456789.,+-eE\r\n"
+_HEADER_LINES = tuple(",".join(TRACE_HEADER).encode() + end for end in (b"\r\n", b"\n"))
+_ROW = np.dtype([("seq", np.int64), ("send", np.float64), ("recv", np.float64)])
+
+
+def _read_blocks(path: str | Path):
+    """The columns of a plain numeric trace file and the line number of each
+    row, parsed by numpy's C tokenizer a block at a time; None if the row
+    loop must read the file instead.
+
+    That is the case for a header other than the exact one, a byte outside
+    ``_NUMERIC``, a lone CR, a blank row, or a row numpy refuses.  Past that
+    guard an empty ``recv_ts_ms`` (a lost packet) can become ``nan``.
+    """
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # a warning refuses the file too: numpy 1.23 parses "1.5" into an
+        # int64 seq with only a DeprecationWarning, and a blank block warns
+        warnings.simplefilter("error")
+        if fh.readline() not in _HEADER_LINES:
+            return None
+        start, count, last = fh.tell(), 0, b"\n"  # count rows to fill exact columns
+        for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+            count, last = count + block.count(b"\n"), block
+        count += not last.endswith(b"\n")
+        columns = tuple(np.empty(count, _ROW[name]) for name in _ROW.names)
+        fh.seek(start)
+        done = 0
+        while block := fh.read(_BLOCK_BYTES) + fh.readline():
+            lone_cr = block.count(b"\r") != block.count(b"\r\n")
+            if lone_cr or block.translate(None, _NUMERIC):
+                return None
+            if not block.endswith(b"\n"):
+                block += b"\n"
+            text = block.replace(b",\n", b",nan\n").replace(b",\r\n", b",nan\r\n")
+            try:
+                rows = np.loadtxt(
+                    io.BytesIO(text), _ROW, comments=None, delimiter=",",
+                    encoding="ascii", ndmin=1,
+                )
+            except (ValueError, Warning):
+                return None
+            for column, name in zip(columns, _ROW.names):
+                column[done : done + len(rows)] = rows[name]
+            done += len(rows)
+    if not count or done < count:  # numpy skips blank rows
+        return None
+    return columns, range(2, count + 2)
+
+
+def _read_rows(path: str | Path):
+    """The columns of any trace file and their line numbers, one csv row at
+    a time; raises naming the line of a malformed row."""
     seq, send, recv, blank = [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -375,12 +457,7 @@ def read_trace(path: str | Path) -> Trace:
     except OverflowError:
         i = next(i for i, q in enumerate(seq) if not -(2**63) <= q < 2**63)
         raise ValueError(f"{path}: line {lines[i]}: seq {seq[i]} is too large") from None
-    _check_columns(*columns, where=lambda i: f"{path}: line {lines[i]}: ")
-    interval_ms = None
-    if len(seq) > 1:
-        deltas = np.diff(columns[1])
-        interval_ms = np.partition(deltas, len(deltas) // 2)[len(deltas) // 2].item()
-    return Trace(interval_ms=interval_ms, columns=columns)
+    return columns, lines
 
 
 def spec_from_dict(data: dict) -> ImpairmentSpec:

@@ -122,6 +122,23 @@ def test_judgment_set_validation():
         JudgmentSet("e", ("loss", "delay"), {("loss", "loss"): 1.0})
 
 
+@pytest.mark.parametrize(
+    "criteria, value, message",
+    [
+        ("ab", 3.0, "criteria must be a list of strings, got 'ab'"),
+        (("a", "b"), "5", "judgment 'a' vs 'b' value must be a finite number, got '5'"),
+        (("a", "b"), True, "judgment 'a' vs 'b' value must be a finite number, got True"),
+    ],
+    ids=["criteria-string", "value-string", "value-bool"],
+)
+def test_judgment_set_rejects_coercible_library_inputs(criteria, value, message):
+    # float("5"), float(True) and tuple("ab") used to build a valid set
+    with pytest.raises(ValueError) as exc:
+        JudgmentSet("e", criteria, {("a", "b"): value})
+    assert str(exc.value) == message
+    assert JudgmentSet("e", ["a", "b"], {("a", "b"): 5}).judgments == {("a", "b"): 5.0}
+
+
 def test_matrix_validation():
     with pytest.raises(ValueError, match="positive"):
         PairwiseMatrix(("a", "b"), [[1, 0], [2, 1]])

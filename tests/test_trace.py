@@ -398,6 +398,45 @@ def test_trace_validation():
         assert str(from_records.value) == str(from_columns.value) == message
 
 
+@pytest.mark.parametrize(
+    "seqs, shown",
+    [([1.5, 2.7, 3.9], "1.5"), ([1, 2.0, 3], "2.0"), (np.array([1.0, 2.5]), "1.0"),
+     ([True, False], "True"), (["1", "2"], "'1'")],
+)
+def test_trace_columns_reject_seq_that_is_not_an_integer(seqs, shown):
+    # np.asarray(..., int64) would truncate 1.5 to seq 1 and score 0% loss
+    send = [20.0 * i for i in range(len(seqs))]
+    with pytest.raises(ValueError) as exc:
+        Trace(columns=(seqs, send, [t + 10.0 for t in send]))
+    assert str(exc.value) == f"seq must be an integer, got {shown}"
+
+
+def test_record_rejects_seq_that_is_not_an_integer():
+    for seq, shown in ((1.5, "1.5"), (2.0, "2.0"), (True, "True"), ("3", "'3'")):
+        with pytest.raises(ValueError) as exc:
+            PacketRecord(seq, 0.0, 10.0)
+        assert str(exc.value) == f"seq must be an integer, got {shown}"
+    assert PacketRecord(np.int64(3), 0.0, 10.0).seq == 3
+
+
+def test_read_trace_names_true_line_in_a_later_block(tmp_path):
+    trace = generate(uniform_spec(duration_s=1600.0))  # 80,000 rows, 2 MB
+    rows = trace_to_csv_text(trace).split("\r\n")
+    bad_line = 75_000  # holds seq 74999, sent at 1499960.0 ms
+    assert len("\r\n".join(rows[:bad_line])) > 1 << 20  # past the first block
+    for bad_row, message in (
+        ("74999,1499960.0,1499950.0", "seq 74999: recv_ts_ms 1499950.0 precedes"),
+        ("74999,1499960.0,nan", "recv_ts_ms must be finite, got nan"),
+        ("74999,1499960.0", "expected 3 columns"),
+    ):
+        path = tmp_path / "long.csv"
+        lines = [*rows[: bad_line - 1], bad_row, *rows[bad_line:]]
+        path.write_text("\r\n".join(lines), newline="")
+        with pytest.raises(ValueError) as exc:
+            read_trace(path)
+        assert str(exc.value).startswith(f"{path}: line {bad_line}: {message}")
+
+
 def test_trace_csv_round_trip(tmp_path):
     trace = generate(
         uniform_spec(

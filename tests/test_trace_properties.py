@@ -1,19 +1,23 @@
-"""Property tests: the columnar trace kernel against the scalar oracle.
+"""Property tests: the columnar trace kernel against the scalar oracle,
+and the bulk CSV reader against the row loop.
 
 Random traces carry losses, absent seqs (gaps in seq), windows with no
 rows, and window lengths from a few ms to a second.  ``scalar_trace``
-holds the per-packet implementation the kernel replaced.
+holds the per-packet implementation the kernel replaced; the row loop
+(``trace._read_rows``) is the reference for the bulk reader.
 """
 import math
 import tempfile
 from itertools import accumulate
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_trace as oracle
+from qoekit import trace as trace_module
 from qoekit.trace import (
     JITTER_ESTIMATORS,
     PacketRecord,
@@ -142,3 +146,117 @@ def test_csv_round_trip_is_exact(trace):
     assert np.array_equal(back.send, trace.send)
     assert np.array_equal(back.recv, trace.recv, equal_nan=True)
     assert back.packets == trace.packets
+
+
+# ---------------------------------------------------------------------------
+# The bulk reader against the row loop
+
+#: Cells of the forms only the row loop reads: padded, quoted, blank rows.
+ROW_LOOP_FORMS = ("space", "quote", "blank-row", "blank-cells")
+
+FAULTS = ("cell", "columns", "underscore", "junk", "lone-cr")
+
+#: Cells, by column, that the row loop rejects.
+BAD_CELLS = {
+    0: ("1.5", "1e3", str(2**64), str(-(2**63) - 1), "", "nan", "0x10"),
+    1: ("nan", "inf", "-Infinity", "", "0x10"),
+    2: ("nan", "inf", "-Infinity", "0x10"),
+}
+
+
+def spell_float(draw, value: float) -> str:
+    """``value`` as repr, or as another spelling both float() and numpy take."""
+    return draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:+.17g}"]))
+
+
+@st.composite
+def trace_rows(draw):
+    """The cells of a valid trace file's rows, spelled in varied numeric forms."""
+    trace = draw(traces(backward_sends=True))
+    rows = []
+    for q, t, r in zip(trace.seq.tolist(), trace.send.tolist(), trace.recv.tolist()):
+        seq = draw(st.sampled_from([str(q), f"+{q}", f"00{q}"]))
+        recv = "" if r != r else spell_float(draw, r)
+        rows.append([seq, spell_float(draw, t), recv])
+    return rows
+
+
+def file_text(draw, rows) -> str:
+    """Header and rows with LF or CRLF line ends, with or without a final one."""
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    lines = [",".join(trace_module.TRACE_HEADER)] + [",".join(row) for row in rows]
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+def read_both(text: str, block_bytes: int):
+    """read_trace's outcome on ``text`` in bulk, by the row loop alone, and
+    whether the bulk reader took the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(trace_module, "_BLOCK_BYTES", block_bytes):
+            bulk = outcome(read_trace, path)
+            in_bulk = trace_module._read_blocks(path) is not None
+        with mock.patch.object(trace_module, "_read_blocks", lambda path: None):
+            rows = outcome(read_trace, path)
+    return bulk, rows, in_bulk
+
+
+def assert_same_outcome(bulk, rows) -> None:
+    (kind, got), (ref_kind, want) = bulk, rows
+    assert kind == ref_kind, (got, want)
+    if kind == "error":
+        assert got == want
+        return
+    for g, w in zip((got.seq, got.send, got.recv), (want.seq, want.send, want.recv)):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()  # bit-equal, NaN too
+    assert got.interval_ms == want.interval_ms
+
+
+#: Block sizes from one byte (a block per row) to the reader's own.
+BLOCK_BYTES = st.one_of(st.integers(1, 200), st.just(trace_module._BLOCK_BYTES))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), block_bytes=BLOCK_BYTES)
+def test_bulk_reader_equals_row_loop_on_valid_files(data, block_bytes):
+    rows = data.draw(trace_rows())
+    forms = data.draw(st.lists(st.sampled_from(ROW_LOOP_FORMS), unique=True))
+    # spaces go in before quotes: csv reads '" 1 "' but not ' "1" '
+    for form in sorted(forms, key=ROW_LOOP_FORMS.index):
+        i, k = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 2))
+        if form == "blank-row":
+            rows.insert(i, [""])
+        elif form == "blank-cells":
+            rows.insert(i, [" ", "", " "])
+        else:
+            cell = rows[i][k]
+            rows[i][k] = f" {cell} " if form == "space" else f'"{cell}"'
+    bulk, by_rows, in_bulk = read_both(file_text(data.draw, rows), block_bytes)
+    assert bulk[0] == "ok", bulk[1]
+    assert_same_outcome(bulk, by_rows)
+    assert in_bulk == (not forms)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), block_bytes=BLOCK_BYTES)
+def test_bulk_reader_and_row_loop_agree_on_faulty_files(data, block_bytes):
+    # A bad cell or column count fails; digits with "_" (which int() and
+    # float() take), numeric junk or a lone CR may pass, the same way in both.
+    rows = data.draw(trace_rows())
+    i, k = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, 2))
+    fault = data.draw(st.sampled_from(FAULTS))
+    if fault == "cell":
+        rows[i][k] = data.draw(st.sampled_from(BAD_CELLS[k]))
+    elif fault == "columns":
+        rows[i] = rows[i][:2] if data.draw(st.booleans()) else [*rows[i], "1.0"]
+    elif fault == "underscore":
+        rows[i][k] = "1_0" if k == 0 else "1_0.0"
+    elif fault == "junk":  # only bytes the bulk reader's guard lets through
+        rows[i][k] = data.draw(st.text(alphabet="0123456789.+-eE", max_size=5))
+    else:
+        rows[i][k] += "\r"
+    bulk, by_rows, _ = read_both(file_text(data.draw, rows), block_bytes)
+    assert_same_outcome(bulk, by_rows)
+    if fault in ("cell", "columns"):
+        assert bulk[0] == "error"
