@@ -45,11 +45,18 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
+#: Characters of text encoded per write, so no encoded copy of a whole
+#: report is held at once.
+_WRITE_CHARS = 1 << 20
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file in the same directory, then rename."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        for i in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[i : i + _WRITE_CHARS])
     os.replace(tmp, path)
 
 
@@ -421,18 +428,25 @@ REPORT_ROW = """    {
       "mos_overall": %s
     }"""
 REPORT_ROW_WIDTH = REPORT_ROW.count("%s")
+#: Windows rendered per call of ``json``'s encoder, to bound the cells held.
+_REPORT_BLOCK = 1024
 
 
 def report_text(payload: dict, row_values: list) -> str:
-    """``json_text(payload)`` with its empty "windows" list holding a
-    ``REPORT_ROW`` per ``REPORT_ROW_WIDTH`` of ``row_values``: the bytes of
-    ``json_text`` with row dicts, as ``json`` encodes every value, so NaN
-    and infinity raise ValueError."""
-    cells = json.dumps(row_values, allow_nan=False)[1:-1].split(", ")
-    n_rows = len(row_values) // REPORT_ROW_WIDTH
-    rows = ",\n".join([REPORT_ROW] * n_rows) % tuple(cells)
+    """``json_text(payload)`` and a newline, with its empty "windows" list
+    holding a ``REPORT_ROW`` per ``REPORT_ROW_WIDTH`` of ``row_values``:
+    the bytes of ``json_text`` with row dicts, as ``json`` encodes every
+    value, so NaN and infinity raise ValueError."""
     head, tail = json_text(payload).split('"windows": []', 1)
-    return f'{head}"windows": [\n{rows}\n  ]{tail}'
+    parts = [head, '"windows": [']
+    step = REPORT_ROW_WIDTH * _REPORT_BLOCK
+    for i in range(0, len(row_values), step):
+        block = row_values[i : i + step]
+        cells = json.dumps(block, allow_nan=False)[1:-1].split(", ")
+        rows = ",\n".join([REPORT_ROW] * (len(block) // REPORT_ROW_WIDTH))
+        parts += [",\n" if i else "\n", rows % tuple(cells)]
+    parts += ["\n  ]", tail, "\n"]
+    return "".join(parts)
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
@@ -489,7 +503,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
             },
             [args.trace],
         )
-        atomic_write_text(args.out, report_text(payload, row_values) + "\n")
+        atomic_write_text(args.out, report_text(payload, row_values))
         print(f"wrote report to {args.out}")
     if args.csv:
         # the table with commas, and an empty cell where it says n/a

@@ -42,7 +42,7 @@ class PacketRecord:
     recv_ts_ms: float | None = None
 
     def __post_init__(self) -> None:
-        _check_seq_type([self.seq])
+        _check_seqs([self.seq])
         if self.seq < 0:
             raise ValueError(f"seq must be nonnegative, got {self.seq}")
         for name in TRACE_HEADER[1:]:  # the messages of _check_columns
@@ -66,12 +66,15 @@ class PacketRecord:
         return self.recv_ts_ms - self.send_ts_ms
 
 
-def _check_seq_type(seqs) -> None:
-    """Raise for the first seq that is not an integer: a float such as 1.5
-    would be truncated, and a bool is no sequence number."""
+def _check_seqs(seqs) -> None:
+    """Raise for the first seq that is not an int64 integer: a float such as
+    1.5 would be truncated, a bool is no sequence number, and a seq beyond
+    64 bits would overflow or wrap."""
     for s in seqs:
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
             raise ValueError(f"seq must be an integer, got {s!r}")
+        if not -(2**63) <= s < 2**63:
+            raise ValueError(f"seq must be nonnegative and below 2**63, got {s}")
 
 
 def _check_columns(seq, send, recv, where=lambda i: "") -> None:
@@ -105,11 +108,14 @@ class Trace:
         if columns is None:  # a None receive time becomes NaN
             packets = tuple(packets)
             columns = [[getattr(p, name) for p in packets] for name in TRACE_HEADER]
-        seq = np.asarray(columns[0])
-        if seq.dtype.kind not in "iu":  # name a listed seq as given, not upcast
-            given = columns[0] if isinstance(columns[0], (list, tuple)) else seq.tolist()
-            _check_seq_type(given)
-        seq = np.asarray(columns[0], np.int64)
+        seq = columns[0]
+        if isinstance(seq, (list, tuple)):  # name a listed seq as given, not upcast
+            _check_seqs(seq)
+        else:
+            seq = np.asarray(seq)
+            if seq.dtype.kind != "i":  # a float would truncate, a uint64 wrap
+                _check_seqs(seq.tolist())
+        seq = np.asarray(seq, np.int64)
         send, recv = (np.asarray(c, np.float64) for c in columns[1:])
         if not len(seq):
             raise ValueError("trace must contain at least one packet")
@@ -190,15 +196,19 @@ def window_metrics(
     """Counts, loss, delay and jitter of every window in one pass.
 
     ``window_of[i]`` is packet i's window, or negative to leave it out;
-    within a window packets keep seq order.  ``expected`` is the seq span
-    of the window's ``sent`` rows, so an absent seq counts as lost; a
-    window with no rows reports 100% loss.  The RFC 3550 recursion
-    J += (|D| - J)/16 from J = 0 ends at J_m = sum_k g (1-g)^(m-k) |D_k|.
+    within a window packets keep seq order.  When ``window_of`` is
+    nonnegative and nondecreasing the columns are used as they are, with
+    no sorted copy.  ``expected`` is the seq span of the window's ``sent``
+    rows, so an absent seq counts as lost; a window with no rows reports
+    100% loss.  The RFC 3550 recursion J += (|D| - J)/16 from J = 0 ends
+    at J_m = sum_k g (1-g)^(m-k) |D_k|.
     """
-    order = np.flatnonzero(window_of >= 0)
-    order = order[np.argsort(window_of[order], kind="stable")]
     columns = (trace.seq, trace.send, trace.recv, window_of)
-    seq, send, recv, win = (column[order] for column in columns)
+    if window_of.min(initial=0) < 0 or (window_of[1:] < window_of[:-1]).any():
+        order = np.flatnonzero(window_of >= 0)
+        order = order[np.argsort(window_of[order], kind="stable")]
+        columns = (column[order] for column in columns)
+    seq, send, recv, win = columns  # in window order, and seq order within one
     sent = np.bincount(win, minlength=n_windows)
     has, last = sent > 0, np.cumsum(sent) - 1
     expected = np.zeros_like(sent)

@@ -739,10 +739,53 @@ def test_trace_analyze_table_and_csv_cells(tmp_path, capsys):
 def test_report_row_template_rejects_nan():
     values = [0] * cli.REPORT_ROW_WIDTH
     text = cli.report_text({"windows": []}, values)
-    assert cli.json_text(json.loads(text)) == text
+    assert cli.json_text(json.loads(text)) + "\n" == text
     values[-1] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli.report_text({"windows": []}, values)
+
+
+def report_row(i: int) -> tuple[dict, list]:
+    """A made-up window ``i`` with a value of every JSON type: the row dict
+    ``json_text`` renders, and its ``REPORT_ROW`` values."""
+    delay = None if i % 7 == 3 else 100.0 + i / 3
+    row = {
+        "window_id": i, "start_ms": 200.0 * i, "end_ms": 200.0 * (i + 1),
+        "expected": 10, "received": 10 - i % 3, "lost": i % 3, "partial": i % 5 == 4,
+        "loss_pct": 10.0 * (i % 3), "delay_ms": delay,
+        "jitter_ms": None if delay is None else i / 7,
+        "r_factors": {"loss": 93.2 - i % 3, "delay": delay and delay / 9, "jitter": -0.0},
+        "mos_loss": 4.1, "mos_delay": 1.0, "mos_jitter": 3.5, "mos_overall": 2 + i / 1e4,
+    }
+    cells = list(row.values())
+    return row, [*cells[:10], *row["r_factors"].values(), *cells[11:]]
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [1, cli._REPORT_BLOCK - 1, cli._REPORT_BLOCK, cli._REPORT_BLOCK + 1,
+     2 * cli._REPORT_BLOCK + 1],
+)
+def test_report_blocks_equal_json_text(n_rows):
+    payload = {"model": "m", "windows": [], "summary": {"window_count": n_rows}}
+    rows = [report_row(i) for i in range(n_rows)]
+    values = [value for _, row_values in rows for value in row_values]
+    expected = cli.json_text({**payload, "windows": [row for row, _ in rows]}) + "\n"
+    assert cli.report_text(payload, values) == expected
+    values[-1] = float("nan")  # in the last block
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli.report_text(payload, values)
+
+
+@pytest.mark.parametrize("chunk", [4, 5, 6, 1 << 20])
+def test_atomic_write_text_in_chunks(tmp_path, monkeypatch, chunk):
+    # two- and three-byte characters on and across every 4-6 character boundary
+    text = "a\u00e9\u00f8\u20ac\n" * 50 + "\u20ac"
+    monkeypatch.setattr(cli, "_WRITE_CHARS", chunk)
+    path = tmp_path / "out.txt"
+    cli.atomic_write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 # ---------------------------------------------------------------------------

@@ -401,14 +401,25 @@ def test_trace_validation():
 @pytest.mark.parametrize(
     "seqs, shown",
     [([1.5, 2.7, 3.9], "1.5"), ([1, 2.0, 3], "2.0"), (np.array([1.0, 2.5]), "1.0"),
-     ([True, False], "True"), (["1", "2"], "'1'")],
+     ([True, False], "True"), (["1", "2"], "'1'"), ([True, 2], "True")],
 )
 def test_trace_columns_reject_seq_that_is_not_an_integer(seqs, shown):
-    # np.asarray(..., int64) would truncate 1.5 to seq 1 and score 0% loss
+    # np.asarray(..., int64) would truncate 1.5 to seq 1 and score 0% loss,
+    # and take [True, 2] as seqs 1, 2
     send = [20.0 * i for i in range(len(seqs))]
     with pytest.raises(ValueError) as exc:
         Trace(columns=(seqs, send, [t + 10.0 for t in send]))
     assert str(exc.value) == f"seq must be an integer, got {shown}"
+
+
+@pytest.mark.parametrize(
+    "seqs", [[1, 2**63], np.array([1, 2**63], np.uint64)], ids=["list", "uint64"]
+)
+def test_trace_columns_reject_seq_beyond_64_bits(seqs):
+    # a list overflowed in the int64 cast, and a uint64 array wrapped to -2**63
+    with pytest.raises(ValueError) as exc:
+        Trace(columns=(seqs, [0.0, 20.0], [10.0, 30.0]))
+    assert str(exc.value) == f"seq must be nonnegative and below 2**63, got {2**63}"
 
 
 def test_record_rejects_seq_that_is_not_an_integer():

@@ -10,6 +10,7 @@ import math
 import tempfile
 from itertools import accumulate
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -133,6 +134,34 @@ def test_window_expected_counts_within_seq_span(trace, window_len_s, estimator):
     assert sum(w.received_count + w.lost_count for w in wins) <= (
         trace.seq[-1] - trace.seq[0] + 1
     )
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    backward_sends=st.booleans(),
+    window_len_s=st.floats(0.001, 0.1),  # short, so backward sends cross windows
+    estimator=st.sampled_from(JITTER_ESTIMATORS),
+)
+def test_in_order_path_equals_sorted_path(data, backward_sends, window_len_s, estimator):
+    # The kernel sorts and drops rows unless window_of is nonnegative and
+    # nondecreasing.  Rows left out (window -1) or sent backward take that
+    # path; the same rows already dropped and sorted take the in-order one.
+    trace = data.draw(traces(backward_sends=backward_sends))
+    win_ms = window_len_s * 1000.0
+    window_of = ((trace.send - trace.send.min()) // win_ms).astype(np.int64)
+    n_windows = int(window_of.max()) + 1
+    start = data.draw(st.integers(0, len(window_of)))
+    window_of[start : data.draw(st.integers(start, start + 3))] = -1  # rows left out
+    order = np.flatnonzero(window_of >= 0)
+    order = order[np.argsort(window_of[order], kind="stable")]
+    in_order = SimpleNamespace(
+        seq=trace.seq[order], send=trace.send[order], recv=trace.recv[order]
+    )
+    got = trace_module.window_metrics(trace, window_of, n_windows, estimator)
+    want = trace_module.window_metrics(in_order, window_of[order], n_windows, estimator)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()  # bit-equal, NaN too
 
 
 @PROPERTY_SETTINGS
