@@ -380,15 +380,14 @@ def cmd_trace_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     atomic_write_text(out, tracemod.trace_to_csv_text(trace))
 
-    received = int(np.count_nonzero(~np.isnan(trace.recv)))
-    line = (
-        f"wrote {len(trace.seq)} packets to {out} "
-        f"(loss {tracemod.loss_rate(trace):.{DISPLAY_DP}f}%"
-    )
-    if received:
-        line += f", mean delay {tracemod.mean_delay(trace):.{DISPLAY_DP}f} ms"
-    if received >= 2:
-        line += f", jitter {tracemod.jitter_rfc3550(trace):.{DISPLAY_DP}f} ms"
+    # the whole trace as one window; NaN = too few packets received
+    m = tracemod.window_metrics(trace, np.zeros_like(trace.seq), "rfc3550")
+    loss, delay, jitter = (c[0].item() for c in (m.loss_pct, m.delay_ms, m.jitter_ms))
+    line = f"wrote {len(trace.seq)} packets to {out} (loss {loss:.{DISPLAY_DP}f}%"
+    if delay == delay:
+        line += f", mean delay {delay:.{DISPLAY_DP}f} ms"
+    if jitter == jitter:
+        line += f", jitter {jitter:.{DISPLAY_DP}f} ms"
     print(line + ")")
     return EXIT_OK
 
@@ -453,13 +452,13 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
     config, model, profile = _scoring_options(args)
     window_s = effective(args.window, config, "window_s", 10.0)
 
-    trace = tracemod.read_trace(args.trace)
-    metrics = tracemod.windows(trace, window_s, args.jitter_estimator)
-
     dp = f"%.{DISPLAY_DP}f"
     table_row = " ".join(["%d", dp, "%s", "%s", dp, dp, dp, dp])
     row_values, table, overall = [], [" ".join(REPORT_CSV_COLUMNS)], []
-    for wm in metrics:
+    # unbound, so the trace and the window list are freed before the report
+    for wm in tracemod.windows(
+        tracemod.read_trace(args.trace), window_s, args.jitter_estimator
+    ):
         sample = wm.sample
         mos, r_factors = composite.score_row(sample, model, profile)
         row_values += (

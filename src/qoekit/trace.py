@@ -102,7 +102,7 @@ class Trace:
     """
 
     def __init__(
-        self, packets=(), interval_ms: float | None = None,
+        self, packets=(),
         *, columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ) -> None:
         if columns is None:  # a None receive time becomes NaN
@@ -123,7 +123,6 @@ class Trace:
         for column in (seq, send, recv):
             column.flags.writeable = False
         self.seq, self.send, self.recv = seq, send, recv
-        self.interval_ms = interval_ms
 
     @property
     def packets(self) -> tuple[PacketRecord, ...]:
@@ -191,24 +190,24 @@ WindowColumns = namedtuple(
 
 
 def window_metrics(
-    trace: Trace, window_of: np.ndarray, n_windows: int, jitter_estimator: str
+    trace: Trace, window_of: np.ndarray, jitter_estimator: str
 ) -> WindowColumns:
-    """Counts, loss, delay and jitter of every window in one pass.
+    """Counts, loss, delay and jitter of windows 0 to ``max(window_of)`` in
+    one pass.
 
-    ``window_of[i]`` is packet i's window, or negative to leave it out;
-    within a window packets keep seq order.  When ``window_of`` is
-    nonnegative and nondecreasing the columns are used as they are, with
-    no sorted copy.  ``expected`` is the seq span of the window's ``sent``
-    rows, so an absent seq counts as lost; a window with no rows reports
-    100% loss.  The RFC 3550 recursion J += (|D| - J)/16 from J = 0 ends
-    at J_m = sum_k g (1-g)^(m-k) |D_k|.
+    ``window_of[i]`` is packet i's window, nonnegative; within a window
+    packets keep seq order.  When ``window_of`` is nondecreasing the
+    columns are used as they are, with no sorted copy.  ``expected`` is
+    the seq span of the window's ``sent`` rows, so an absent seq counts as
+    lost; a window with no rows reports 100% loss.  The RFC 3550 recursion
+    J += (|D| - J)/16 from J = 0 ends at J_m = sum_k g (1-g)^(m-k) |D_k|.
     """
     columns = (trace.seq, trace.send, trace.recv, window_of)
-    if window_of.min(initial=0) < 0 or (window_of[1:] < window_of[:-1]).any():
-        order = np.flatnonzero(window_of >= 0)
-        order = order[np.argsort(window_of[order], kind="stable")]
+    if (window_of[1:] < window_of[:-1]).any():
+        order = np.argsort(window_of, kind="stable")
         columns = (column[order] for column in columns)
     seq, send, recv, win = columns  # in window order, and seq order within one
+    n_windows = int(win[-1]) + 1
     sent = np.bincount(win, minlength=n_windows)
     has, last = sent > 0, np.cumsum(sent) - 1
     expected = np.zeros_like(sent)
@@ -237,7 +236,7 @@ def window_metrics(
 
 def _whole(trace: Trace, field: str, estimator="rfc3550") -> float:
     """One metric over the whole trace."""
-    m = window_metrics(trace, np.zeros_like(trace.seq), 1, estimator)
+    m = window_metrics(trace, np.zeros_like(trace.seq), estimator)
     value = getattr(m, field)[0].item()
     if value != value:
         raise ValueError(
@@ -282,7 +281,8 @@ def windows(
     Windows start at the earliest send time; the jitter recursion restarts
     in each.  A window with no received packets has None delay and jitter.
     The last window is partial when the trace, which ends at the latest send
-    plus the nominal interval (if known), does not cover it.
+    plus the nominal interval, does not cover it.  That interval is the
+    upper median send-time delta (0 for a one-packet trace).
     """
     t0 = trace.send.min().item()
     t_end = trace.send.max().item()
@@ -298,15 +298,19 @@ def windows(
             f"jitter_estimator must be one of {JITTER_ESTIMATORS}, "
             f"got {jitter_estimator!r}"
         )
-    coverage_end = t_end + (trace.interval_ms or 0.0)
     window_of = ((trace.send - t0) // win_ms).astype(np.int64)
-    n = int(window_of.max()) + 1
     try:  # the kernel's arrays have one cell per window
-        m = window_metrics(trace, window_of, n, jitter_estimator)
+        m = window_metrics(trace, window_of, jitter_estimator)
     except MemoryError:
+        n = int(window_of.max()) + 1
         raise ValueError(
             f"window_len_s {window_len_s} gives {n} windows, too many to allocate"
         ) from None
+    n, deltas = len(m.sent), np.diff(trace.send)  # after the kernel: a lower peak
+    k = len(deltas) // 2
+    if len(deltas):
+        deltas.partition(k)  # in place; np.partition would copy
+    coverage_end = t_end + (deltas[k].item() if len(deltas) else 0.0)
     out = []
     for idx, (expected, received, loss, delay, jitter) in enumerate(
         zip(*(column.tolist() for column in m[1:]))
@@ -342,12 +346,12 @@ def generate(spec: ImpairmentSpec) -> Trace:
         "pareto": lambda: scale * ((1.0 - rand()) ** power - 1.0),
     }[spec.jitter_model]
     loss, base, nan = spec.loss_prob, spec.base_delay_ms, math.nan
-    delays = [nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)]
-    send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
-    return Trace(
-        interval_ms=spec.packet_interval_ms,
-        columns=(np.arange(1, count + 1), send, send + np.array(delays)),
+    delays = np.fromiter(
+        (nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)),
+        np.float64, count,
     )
+    send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
+    return Trace(columns=(np.arange(1, count + 1), send, send + delays))
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +372,11 @@ def read_trace(path: str | Path) -> Trace:
 
     A plain numeric file is parsed in bulk (:func:`_read_blocks`); any
     other file goes through the row loop (:func:`_read_rows`), which gives
-    the same trace or names the bad line.  The nominal inter-packet
-    interval is the median send-time delta (None for single-packet traces).
+    the same trace or names the bad line.
     """
     columns, lines = _read_blocks(path) or _read_rows(path)
     _check_columns(*columns, where=lambda i: f"{path}: line {lines[i]}: ")
-    interval_ms = None
-    if len(columns[0]) > 1:
-        deltas = np.diff(columns[1])
-        interval_ms = np.partition(deltas, len(deltas) // 2)[len(deltas) // 2].item()
-    return Trace(interval_ms=interval_ms, columns=columns)
+    return Trace(columns=columns)
 
 
 #: Bytes of CSV text per numpy parse; each block is extended to a line end.

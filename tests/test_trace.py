@@ -26,7 +26,7 @@ def make_trace(delays, interval_ms=20.0, start_seq=1):
         send = i * interval_ms
         recv = None if delay is None else send + delay
         packets.append(PacketRecord(start_seq + i, send, recv))
-    return Trace(tuple(packets), interval_ms=interval_ms)
+    return Trace(tuple(packets))
 
 
 def uniform_spec(**overrides):
@@ -111,11 +111,7 @@ def test_jitter_rfc3550_invariant_to_recv_shift():
     delays = [100.0, 140.0, 90.0, 125.0, 101.0]
     base = make_trace(delays)
     shifted = Trace(
-        tuple(
-            PacketRecord(p.seq, p.send_ts_ms, p.recv_ts_ms + 5000.0)
-            for p in base.packets
-        ),
-        interval_ms=base.interval_ms,
+        PacketRecord(p.seq, p.send_ts_ms, p.recv_ts_ms + 5000.0) for p in base.packets
     )
     assert jitter_rfc3550(shifted) == jitter_rfc3550(base)
 
@@ -195,9 +191,10 @@ def test_windows_start_at_earliest_send():
         PacketRecord(2, 50.0, 60.0),
         PacketRecord(3, 120.0, 130.0),
     )
-    (win,) = windows(Trace(packets, interval_ms=20.0), 1.0)
+    (win,) = windows(Trace(packets), 1.0)
     assert (win.start_ms, win.received_count, win.sample.loss_pct) == (50.0, 3, 0.0)
-    assert win.partial  # coverage ends at the latest send, 140 ms
+    # coverage ends at the latest send plus the upper median send delta, 190 ms
+    assert win.partial
 
 
 def test_windows_short_trace_is_single_partial():
@@ -468,8 +465,20 @@ def test_read_trace_infers_nominal_interval(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(trace_to_csv_text(trace), newline="")
     back = read_trace(path)
-    assert back.interval_ms == 20.0
     assert not windows(back, 1.0)[-1].partial  # full coverage, no partial flag
+
+
+def test_windows_partial_depends_only_on_packets(tmp_path):
+    # 50 packets every 20 ms cover one 1 s window however the trace was built
+    send = np.arange(50) * 20.0
+    built = Trace(columns=(np.arange(1, 51), send, send + 80.0))
+    path = tmp_path / "trace.csv"
+    path.write_text(trace_to_csv_text(built), newline="")
+    for trace in (built, read_trace(path), generate(uniform_spec(duration_s=1.0))):
+        (win,) = windows(trace, 1.0)
+        assert not win.partial
+    (win,) = windows(Trace(columns=([1], [0.0], [80.0])), 1.0)
+    assert win.partial  # one packet: the interval is 0
 
 
 def test_read_trace_reports_line_numbers(tmp_path):

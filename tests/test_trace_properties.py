@@ -53,7 +53,7 @@ def traces(draw, backward_sends=False):
         PacketRecord(q, t, None if d is None else t + d)
         for q, t, d in zip(seqs, sends, delays)
     ]
-    return Trace(packets, interval_ms=draw(st.sampled_from([None, 20.0])))
+    return Trace(packets)
 
 
 def outcome(fn, *args):
@@ -69,6 +69,12 @@ def close(a, b) -> bool:
     return math.isclose(a, b, rel_tol=JITTER_REL, abs_tol=0.0)
 
 
+def median_send_delta(trace) -> float:
+    """The nominal interval ``windows()`` takes: the upper median send delta."""
+    deltas = sorted(np.diff(trace.send).tolist())
+    return deltas[len(deltas) // 2] if deltas else 0.0
+
+
 @PROPERTY_SETTINGS
 @given(
     trace=traces(backward_sends=True),
@@ -77,7 +83,8 @@ def close(a, b) -> bool:
 )
 def test_windows_equal_scalar_oracle(trace, window_len_s, estimator):
     got = windows(trace, window_len_s, estimator)
-    want = oracle.windows(trace.packets, window_len_s, estimator, trace.interval_ms)
+    interval_ms = median_send_delta(trace)
+    want = oracle.windows(trace.packets, window_len_s, estimator, interval_ms)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (
@@ -144,37 +151,49 @@ def test_window_expected_counts_within_seq_span(trace, window_len_s, estimator):
     estimator=st.sampled_from(JITTER_ESTIMATORS),
 )
 def test_in_order_path_equals_sorted_path(data, backward_sends, window_len_s, estimator):
-    # The kernel sorts and drops rows unless window_of is nonnegative and
-    # nondecreasing.  Rows left out (window -1) or sent backward take that
-    # path; the same rows already dropped and sorted take the in-order one.
+    # The kernel sorts rows unless window_of is nondecreasing.  Rows sent
+    # backward take that path; the same rows already sorted take the
+    # in-order one.
     trace = data.draw(traces(backward_sends=backward_sends))
     win_ms = window_len_s * 1000.0
     window_of = ((trace.send - trace.send.min()) // win_ms).astype(np.int64)
-    n_windows = int(window_of.max()) + 1
-    start = data.draw(st.integers(0, len(window_of)))
-    window_of[start : data.draw(st.integers(start, start + 3))] = -1  # rows left out
-    order = np.flatnonzero(window_of >= 0)
-    order = order[np.argsort(window_of[order], kind="stable")]
+    order = np.argsort(window_of, kind="stable")
     in_order = SimpleNamespace(
         seq=trace.seq[order], send=trace.send[order], recv=trace.recv[order]
     )
-    got = trace_module.window_metrics(trace, window_of, n_windows, estimator)
-    want = trace_module.window_metrics(in_order, window_of[order], n_windows, estimator)
+    got = trace_module.window_metrics(trace, window_of, estimator)
+    want = trace_module.window_metrics(in_order, window_of[order], estimator)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()  # bit-equal, NaN too
+
+
+def csv_round_trip(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(trace_to_csv_text(trace), newline="")
+        return read_trace(path)
 
 
 @PROPERTY_SETTINGS
 @given(trace=traces(backward_sends=True))
 def test_csv_round_trip_is_exact(trace):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
-        path.write_text(trace_to_csv_text(trace), newline="")
-        back = read_trace(path)
+    back = csv_round_trip(trace)
     assert np.array_equal(back.seq, trace.seq)
     assert np.array_equal(back.send, trace.send)
     assert np.array_equal(back.recv, trace.recv, equal_nan=True)
     assert back.packets == trace.packets
+
+
+@PROPERTY_SETTINGS
+@given(
+    trace=traces(backward_sends=True),
+    window_len_s=st.floats(0.005, 1.0),
+    estimator=st.sampled_from(JITTER_ESTIMATORS),
+)
+def test_windows_of_a_trace_equal_windows_of_its_csv(trace, window_len_s, estimator):
+    # a trace's windows depend on its packets alone, not on how it was built
+    got = windows(trace, window_len_s, estimator)
+    assert got == windows(csv_round_trip(trace), window_len_s, estimator)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +258,6 @@ def assert_same_outcome(bulk, rows) -> None:
         return
     for g, w in zip((got.seq, got.send, got.recv), (want.seq, want.send, want.recv)):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()  # bit-equal, NaN too
-    assert got.interval_ms == want.interval_ms
 
 
 #: Block sizes from one byte (a block per row) to the reader's own.
