@@ -205,7 +205,8 @@ def window_metrics(
     columns = (trace.seq, trace.send, trace.recv, window_of)
     if (window_of[1:] < window_of[:-1]).any():
         order = np.argsort(window_of, kind="stable")
-        columns = (column[order] for column in columns)
+        columns = [column[order] for column in columns]
+        del order
     seq, send, recv, win = columns  # in window order, and seq order within one
     n_windows = int(win[-1]) + 1
     sent = np.bincount(win, minlength=n_windows)
@@ -214,21 +215,37 @@ def window_metrics(
     expected[has] = seq[last[has]] - seq[(last - sent + 1)[has]] + 1
     got = ~np.isnan(recv)
     rwin, rsend, rrecv = win[got], send[got], recv[got]
+    # Each per-packet temporary is dropped after its last use, which bounds
+    # the peak; the in-place steps keep each expression's arithmetic.
+    del got, columns, seq, win, send, recv
     received = np.bincount(rwin, minlength=n_windows)
     delay = rrecv - rsend
-    same = rwin[1:] == rwin[:-1]  # consecutive received pairs of one window
-    pwin = rwin[1:][same]
-    pairs = np.bincount(pwin, minlength=n_windows)
     with np.errstate(invalid="ignore", divide="ignore"):
         loss = np.where(has, 100.0 * (expected - received) / expected, 100.0)
         delay_ms = np.bincount(rwin, weights=delay, minlength=n_windows) / received
+        if jitter_estimator == "rfc3550":  # |D|: |diff(recv) - diff(send)|
+            del delay
+            d = np.diff(rrecv)
+            del rrecv
+            d -= np.diff(rsend)
+            del rsend
+        else:  # |diff(delay)|
+            del rrecv, rsend
+            d = np.diff(delay)
+            del delay
+        np.abs(d, out=d)
+        same = rwin[1:] == rwin[:-1]  # consecutive received pairs of one window
+        pwin = rwin[1:][same]
+        del rwin
+        d = d[same]
+        pairs = np.bincount(pwin, minlength=n_windows)
         if jitter_estimator == "rfc3550":
-            d = np.abs(np.diff(rrecv) - np.diff(rsend))[same]
-            age = (np.cumsum(pairs) - 1)[pwin] - np.arange(len(pwin))
-            d = d * (1.0 - 1.0 / RFC3550_GAIN) ** age / RFC3550_GAIN
+            age = (np.cumsum(pairs) - 1)[pwin]
+            age -= np.arange(len(pwin))
+            d *= (1.0 - 1.0 / RFC3550_GAIN) ** age
+            d /= RFC3550_GAIN
             jitter = np.bincount(pwin, weights=d, minlength=n_windows)
         else:
-            d = np.abs(np.diff(delay))[same]
             jitter = np.bincount(pwin, weights=d, minlength=n_windows) / pairs
     jitter = np.where(pairs > 0, jitter, np.nan)
     return WindowColumns(sent, expected, received, loss, delay_ms, jitter)
@@ -327,31 +344,86 @@ def windows(
     return out
 
 
+#: Packets decoded per block of draws in :func:`generate`; bounds its
+#: temporaries.
+_GEN_BLOCK = 1 << 16
+
+
+def _mersenne_twister(seed: int) -> np.random.MT19937:
+    """numpy's MT19937 on the state that ``random.Random(seed)`` seeds."""
+    bits, key = np.random.MT19937(), random.Random(seed).getstate()[1]
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key[:-1], np.uint32), "pos": key[-1]},
+    }
+    return bits
+
+
+def _random_doubles(bits: np.random.MT19937, n: int) -> np.ndarray:
+    """The next ``n`` values of CPython's ``random()`` on the state ``bits``:
+    a 53-bit fraction from the top 27 and 26 bits of two 32-bit words."""
+    a, b = bits.random_raw(2 * n).reshape(n, 2).T
+    return ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0
+
+
 def generate(spec: ImpairmentSpec) -> Trace:
     """Generate a trace at fixed cadence with independent loss and jitter.
 
     Per packet, one loss draw and then, if received, one jitter draw; the
-    delay is base plus jitter, truncated at zero.
+    delay is base plus jitter, truncated at zero.  The draws are those of
+    ``random.Random(spec.rng_seed)``, taken in blocks from numpy's MT19937
+    on the same state, so the trace is the one a per-packet loop gives.
     """
-    count = int(round(spec.duration_s * 1000.0 / spec.packet_interval_ms))
+    packets = spec.duration_s * 1000.0 / spec.packet_interval_ms
+    too_many = (
+        f"duration_s {spec.duration_s} and packet_interval_ms "
+        f"{spec.packet_interval_ms} give {packets:.4g} packets, too many to allocate"
+    )
+    if not packets < 2.0**63:  # round() and numpy's sizes would overflow
+        raise ValueError(too_many)
+    count = round(packets)
     if count < 1:
         raise ValueError("duration_s and packet_interval_ms yield an empty trace")
-    rng = random.Random(spec.rng_seed)
-    rand, amplitude = rng.random, spec.jitter_amplitude_ms
+    try:
+        seq = np.arange(1, count + 1)
+        send = np.arange(count, dtype=np.float64)
+        recv = np.empty(count)
+    except (MemoryError, ValueError):  # numpy's ValueError: beyond its sizes
+        raise ValueError(too_many) from None
+    bits = _mersenne_twister(spec.rng_seed)
+    loss, base, amplitude = spec.loss_prob, spec.base_delay_ms, spec.jitter_amplitude_ms
     scale, power = spec.pareto_scale_ms, -1.0 / spec.pareto_shape
-    draw = {
-        "none": lambda: 0.0,
-        "uniform": lambda: rng.uniform(-amplitude, amplitude),
-        # 1 - random() is in (0, 1]; guards against u = 0
-        "pareto": lambda: scale * ((1.0 - rand()) ** power - 1.0),
-    }[spec.jitter_model]
-    loss, base, nan = spec.loss_prob, spec.base_delay_ms, math.nan
-    delays = np.fromiter(
-        (nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)),
-        np.float64, count,
-    )
-    send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
-    return Trace(columns=(np.arange(1, count + 1), send, send + delays))
+    jitter = {
+        "uniform": lambda u: -amplitude + (amplitude - -amplitude) * u,
+        # 1 - u is in (0, 1]; Python's pow per element, as np.power can
+        # differ from it in the last bit
+        "pareto": lambda u: scale * (
+            np.array([x**power for x in (1.0 - u).tolist()]) - 1.0
+        ),
+    }.get(spec.jitter_model)
+    u = np.empty(0)
+    for start in range(0, count, _GEN_BLOCK):
+        block = recv[start : start + _GEN_BLOCK]
+        if jitter is None:  # each draw is a packet's loss draw
+            u = _random_doubles(bits, len(block))
+            block[:] = np.where(u < loss, math.nan, base)
+            continue
+        # A packet takes at most two draws, so 2 per packet decode the block
+        # and the rest carry over: the next block starts at a loss draw.
+        # The first draw and each draw after one below loss is a loss draw;
+        # in the run of draws >= loss that follows, loss (packet kept) and
+        # jitter draws alternate.
+        u = np.concatenate([u, _random_doubles(bits, max(2 * len(block) - len(u), 0))])
+        j = np.arange(len(u))
+        run_start = np.maximum.accumulate(np.where(np.append(True, u[:-1] < loss), j, 0))
+        at = np.flatnonzero((j - run_start) % 2 == 0)[: len(block)]
+        kept = u[at] >= loss
+        block[:] = math.nan
+        block[kept] = np.maximum(base + jitter(u[at[kept] + 1]), 0.0)
+        u = u[at[-1] + 1 + kept[-1] :]
+    send *= spec.packet_interval_ms
+    recv += send
+    return Trace(columns=(seq, send, recv))
 
 
 # ---------------------------------------------------------------------------

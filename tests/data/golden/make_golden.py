@@ -8,10 +8,12 @@ from this directory, with relative paths, so the report stamps and the
 ``out/<name>/stdout.txt``.  ``tests/test_golden.py`` reruns every case in
 a copy of ``tests/data`` and compares the bytes.
 
-The inputs are the seven judgment fixtures, the reference matrix, and two
-traces: ``out/gen/trace.csv``, the ``trace gen`` case's output for
-``spec.json``, and ``hand.csv``, built here with an outage, absent seqs,
-a backward send and a 5 s gap.
+The inputs are the seven judgment fixtures, the reference matrix, the
+generator specs of ``SPECS`` (one per jitter model), ``models.json`` (one
+custom model for ``--models-config``) and two traces:
+``out/gen/trace.csv``, the ``trace gen`` case's output for ``spec.json``,
+and ``hand.csv``, built here with an outage, absent seqs, a backward send
+and a 5 s gap.
 
 Regenerate only for an intended output change, and name each changed file
 and its reason in CHANGES.md; regenerating to hide an unintended change
@@ -31,11 +33,29 @@ from qoekit import cli
 
 HERE = Path(__file__).parent
 
-SPEC = {
-    "loss_prob": 0.03, "base_delay_ms": 80.0, "duration_s": 20.0,
-    "packet_interval_ms": 20.0, "rng_seed": 7,
-    "jitter": {"model": "uniform", "amplitude_ms": 12.0},
+#: Generator specs by file name: every jitter model, a seed beyond 64 bits
+#: and a negative one, and a loss probability of 0 (a draw pair per packet).
+SPECS = {
+    "spec.json": {
+        "loss_prob": 0.03, "base_delay_ms": 80.0, "duration_s": 20.0,
+        "packet_interval_ms": 20.0, "rng_seed": 7,
+        "jitter": {"model": "uniform", "amplitude_ms": 12.0},
+    },
+    "spec-pareto.json": {  # delays large beside send times: pow's last bit shows
+        "loss_prob": 0.0, "base_delay_ms": 0.0, "duration_s": 1.0,
+        "packet_interval_ms": 1.0, "rng_seed": 2**64 + 5,
+        "jitter": {"model": "pareto", "shape": 0.7, "scale_ms": 200.0},
+    },
+    "spec-none.json": {
+        "loss_prob": 0.25, "base_delay_ms": 60.0, "duration_s": 10.0,
+        "packet_interval_ms": 10.0, "rng_seed": -11,
+        "jitter": {"model": "none"},
+    },
 }
+
+#: ``models.json``: one model that ranks jitter above delay.
+MODELS = [{"name": "jitter-first", "criteria": ["loss", "delay", "jitter"],
+           "weights": [0.4, 0.2, 0.4]}]
 
 JUDGMENTS = [f"../judgments/e{k}.json" for k in range(1, 8)]
 
@@ -81,7 +101,15 @@ def mos_cases():
 #: analyze cases read its trace.
 CASES = [
     ("gen", ["trace", "gen", "spec.json", "--out", "out/gen/trace.csv"]),
+    ("gen-pareto", ["trace", "gen", "spec-pareto.json", "--out", "out/gen-pareto/trace.csv"]),
+    ("gen-none", ["trace", "gen", "spec-none.json", "--out", "out/gen-none/trace.csv"]),
     *analyze_cases(),
+    ("analyze-gen-1s-models-config", [
+        "trace", "analyze", "out/gen/trace.csv", "--window", "1",
+        "--models-config", "models.json", "--model", "jitter-first",
+        "--out", "out/analyze-gen-1s-models-config/report.json",
+        "--csv", "out/analyze-gen-1s-models-config/table.csv",
+    ]),
     ("weights-arithmetic-mean", [
         "ahp", "weights", *JUDGMENTS, "--aggregate", "arithmetic-mean",
         "--out-dir", "out/weights-arithmetic-mean",
@@ -118,7 +146,8 @@ def run_case(name: str, argv: list[str]) -> None:
 
 def main() -> None:
     os.chdir(HERE)
-    Path("spec.json").write_text(json.dumps(SPEC, indent=2) + "\n", encoding="utf-8")
+    for name, data in [*SPECS.items(), ("models.json", MODELS)]:
+        Path(name).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     lines = ["seq,send_ts_ms,recv_ts_ms"]
     lines += [f"{q},{t!r},{'' if r is None else repr(r)}" for q, t, r in hand_rows()]
     Path("hand.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

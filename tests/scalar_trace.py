@@ -1,13 +1,22 @@
-"""Scalar reference for the columnar trace metrics, one packet at a time.
+"""Scalar reference for the columnar trace metrics and the generator, one
+packet at a time.
 
 This is the per-packet implementation that ``qoekit.trace`` used before
-it held traces as numpy columns, kept only as an oracle for the property
-tests.  It works on a tuple of ``PacketRecord`` (``Trace.packets``) and
-runs the RFC 3550 recursion step by step.
+it held traces as numpy columns and drew its random numbers in blocks,
+kept only as an oracle for the property tests.  The metrics work on a
+tuple of ``PacketRecord`` (``Trace.packets``) and run the RFC 3550
+recursion step by step; :func:`generate` makes its ``random.Random``
+draws one packet at a time.
 """
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass
+
+import numpy as np
+
+from qoekit.trace import Trace
 
 RFC3550_GAIN = 16.0
 
@@ -94,3 +103,27 @@ def windows(packets, window_len_s, jitter_estimator="rfc3550", interval_ms=None)
             )
         )
     return out
+
+
+def generate(spec):
+    """Per packet, one loss draw and then, if received, one jitter draw;
+    the delay is base plus jitter, truncated at zero."""
+    count = int(round(spec.duration_s * 1000.0 / spec.packet_interval_ms))
+    if count < 1:
+        raise ValueError("duration_s and packet_interval_ms yield an empty trace")
+    rng = random.Random(spec.rng_seed)
+    rand, amplitude = rng.random, spec.jitter_amplitude_ms
+    scale, power = spec.pareto_scale_ms, -1.0 / spec.pareto_shape
+    draw = {
+        "none": lambda: 0.0,
+        "uniform": lambda: rng.uniform(-amplitude, amplitude),
+        # 1 - random() is in (0, 1]; guards against u = 0
+        "pareto": lambda: scale * ((1.0 - rand()) ** power - 1.0),
+    }[spec.jitter_model]
+    loss, base, nan = spec.loss_prob, spec.base_delay_ms, math.nan
+    delays = np.fromiter(
+        (nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)),
+        np.float64, count,
+    )
+    send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
+    return Trace(columns=(np.arange(1, count + 1), send, send + delays))

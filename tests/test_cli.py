@@ -506,6 +506,25 @@ def test_trace_gen_total_loss(tmp_path, capsys):
     assert all(row.endswith(",") for row in rows)  # recv field empty
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"duration_s": 1e15},  # 5e16 packets, 355 PiB of seqs: no allocation
+        {"duration_s": 1e300},  # beyond numpy's array sizes
+        {"packet_interval_ms": 1e-300},
+        {"duration_s": 1e306},  # the count overflows to inf
+    ],
+)
+def test_trace_gen_rejects_too_many_packets(tmp_path, capsys, overrides):
+    spec = write_spec(tmp_path, **overrides)
+    out = tmp_path / "t.csv"
+    code, _, err = run(capsys, "trace", "gen", spec, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: duration_s ") and "packet_interval_ms" in err
+    assert err.rstrip().endswith("packets, too many to allocate")
+    assert not out.exists()
+
+
 def test_trace_gen_rejects_out_of_range_shape(tmp_path, capsys):
     spec = write_spec(
         tmp_path, jitter={"model": "pareto", "shape": 0.95, "scale_ms": 2.0}

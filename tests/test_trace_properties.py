@@ -1,10 +1,11 @@
-"""Property tests: the columnar trace kernel against the scalar oracle,
-and the bulk CSV reader against the row loop.
+"""Property tests: the columnar trace kernel and the block generator
+against the scalar oracle, and the bulk CSV reader against the row loop.
 
 Random traces carry losses, absent seqs (gaps in seq), windows with no
 rows, and window lengths from a few ms to a second.  ``scalar_trace``
-holds the per-packet implementation the kernel replaced; the row loop
-(``trace._read_rows``) is the reference for the bulk reader.
+holds the per-packet implementations the kernel and the generator
+replaced; the row loop (``trace._read_rows``) is the reference for the
+bulk reader.
 """
 import math
 import tempfile
@@ -19,10 +20,14 @@ from hypothesis import strategies as st
 
 import scalar_trace as oracle
 from qoekit import trace as trace_module
+from qoekit.emodel import PARETO_H_MAX, PARETO_H_MIN
 from qoekit.trace import (
     JITTER_ESTIMATORS,
+    JITTER_MODELS,
+    ImpairmentSpec,
     PacketRecord,
     Trace,
+    generate,
     jitter_mean_abs,
     jitter_rfc3550,
     loss_rate,
@@ -307,3 +312,32 @@ def test_bulk_reader_and_row_loop_agree_on_faulty_files(data, block_bytes):
     assert_same_outcome(bulk, by_rows)
     if fault in ("cell", "columns"):
         assert bulk[0] == "error"
+
+
+@st.composite
+def specs(draw):
+    """A generator spec of up to 2,000 packets, empty ones included."""
+    return ImpairmentSpec(
+        loss_prob=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        base_delay_ms=draw(st.floats(0.0, 200.0)),
+        duration_s=draw(st.floats(0.001, 2.0)),
+        packet_interval_ms=draw(st.floats(1.0, 20.0)),
+        rng_seed=draw(st.one_of(
+            st.sampled_from([0, -1, 2**32, 2**64, -(2**64) - 1, 2**100 + 3]),
+            st.integers(),
+        )),
+        jitter_model=draw(st.sampled_from(JITTER_MODELS)),
+        jitter_amplitude_ms=draw(st.floats(0.0, 50.0)),
+        pareto_shape=draw(st.floats(PARETO_H_MIN, PARETO_H_MAX)),
+        pareto_scale_ms=draw(st.floats(0.0, 10.0)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(spec=specs(), block=st.sampled_from([1, 2, 7, 64, trace_module._GEN_BLOCK]))
+def test_generate_equals_scalar_generator(spec, block):
+    # small blocks put many block boundaries, and their carried draws,
+    # inside one short trace
+    with mock.patch.object(trace_module, "_GEN_BLOCK", block):
+        got = outcome(generate, spec)
+    assert_same_outcome(got, outcome(oracle.generate, spec))
