@@ -76,36 +76,41 @@ class JudgmentSet:
         }
         object.__setattr__(self, "criteria", criteria)
         object.__setattr__(self, "judgments", judgments)
-        _check_criteria(self.criteria)
-        seen: set[frozenset[str]] = set()
-        for (a, b), value in self.judgments.items():
-            if a not in self.criteria or b not in self.criteria or a == b:
+        _check_criteria(criteria)
+        index = {c: i for i, c in enumerate(criteria)}
+        seen: set[tuple[int, int]] = set()
+        for (a, b), value in judgments.items():
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None or i == j:
                 raise ValueError(f"judgment pair ({a!r}, {b!r}) is not a valid pair")
-            key = frozenset((a, b))
+            key = (i, j) if i < j else (j, i)
             if key in seen:
                 raise ValueError(f"duplicate judgment for pair {a!r}/{b!r}")
             seen.add(key)
             if not SAATY_MIN <= value <= SAATY_MAX:
-                raise ValueError(
-                    f"judgment {a!r} vs {b!r} is {value}, outside [1/9, 9]"
-                )
-        expected = {frozenset(p) for p in combinations(self.criteria, 2)}
-        missing = expected - seen
-        if missing:
-            pair = sorted(next(iter(missing)))
-            raise ValueError(f"missing judgment for pair {pair[0]!r}/{pair[1]!r}")
+                raise ValueError(f"judgment {a!r} vs {b!r} is {value}, outside [1/9, 9]")
+        n = len(criteria)
+        if len(seen) < n * (n - 1) // 2:
+            i, j = next(p for p in combinations(range(n), 2) if p not in seen)
+            raise ValueError(f"missing judgment for pair {criteria[i]!r}/{criteria[j]!r}")
 
     def matrix(self) -> "PairwiseMatrix":
         """Expand to a full reciprocal comparison matrix."""
-        n = len(self.criteria)
-        cells = np.ones((n, n))
-        for i, a in enumerate(self.criteria):
-            for j, b in enumerate(self.criteria):
-                if (a, b) in self.judgments:
-                    cells[i, j] = self.judgments[(a, b)]
-                elif (b, a) in self.judgments:
-                    cells[i, j] = 1.0 / self.judgments[(b, a)]
-        return PairwiseMatrix(self.criteria, cells)
+        return PairwiseMatrix(self.criteria, _reciprocal_stack([self], self.criteria)[0])
+
+
+def _reciprocal_stack(sets: list[JudgmentSet], criteria: tuple[str, ...]) -> np.ndarray:
+    """The sets' reciprocal matrices, each over exactly ``criteria``, as one
+    (k, n, n) stack in that order: judgment v of a over b at (a, b), 1.0 / v
+    at (b, a), ones elsewhere, so no cell needs checking again."""
+    n = len(criteria)
+    index = {c: i for i, c in enumerate(criteria)}
+    at = [(k, index[a], index[b]) for k, js in enumerate(sets) for a, b in js.judgments]
+    k, i, j = np.array(at, dtype=np.intp).reshape(-1, 3).T
+    v = np.fromiter((v for js in sets for v in js.judgments.values()), float)
+    stack = np.ones((len(sets), n, n))
+    stack[k, i, j], stack[k, j, i] = v, 1.0 / v
+    return stack
 
 
 @dataclass(frozen=True)
@@ -206,23 +211,17 @@ def aggregate_judgments(
     if not sets:
         raise ValueError("at least one judgment set is required")
     criteria = sets[0].criteria
-    stack = []
     for js in sets:
         if set(js.criteria) != set(criteria):
             raise ValueError(
                 f"evaluator {js.evaluator_id!r} covers criteria "
                 f"{sorted(js.criteria)}, expected {sorted(criteria)}"
             )
-        m = js.matrix()
-        if js.criteria != criteria:
-            m = m.permuted(criteria)
-        stack.append(m.cells)
-    arr = np.stack(stack)
+    arr = _reciprocal_stack(sets, criteria)
     if method == "arithmetic-mean":
         cells = arr.mean(axis=0)
     else:
         cells = np.exp(np.log(arr).mean(axis=0))
-    np.fill_diagonal(cells, 1.0)
     return PairwiseMatrix(criteria, cells)
 
 
@@ -284,25 +283,26 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
 # File formats: judgment sets as JSON, criteria tables as CSV.
 
 def read_judgments(path: str | Path) -> JudgmentSet:
-    """Read a judgment set from its JSON layout.
+    """Read a judgment set from its JSON layout; every error names ``path``.
 
     Expected shape: {"evaluator_id": ..., "criteria": [...],
     "judgments": [{"a": ..., "b": ..., "value": ...}, ...]}.
     """
     data = read_json(path, "judgment")
-    prefix = f"{path}: judgment field"
     try:
         judgments = {}
         for j in data["judgments"]:
-            a, b = json_string(j["a"], f"{prefix} a"), json_string(j["b"], f"{prefix} b")
-            judgments[(a, b)] = json_number(j["value"], f"judgment {a!r} vs {b!r} value")
+            a = json_string(j["a"], "judgment field a")
+            judgments[(a, json_string(j["b"], "judgment field b"))] = j["value"]
         return JudgmentSet(
-            evaluator_id=json_string(data["evaluator_id"], f"{prefix} evaluator_id"),
-            criteria=json_string(data["criteria"], f"{prefix} criteria", many=True),
+            evaluator_id=json_string(data["evaluator_id"], "judgment field evaluator_id"),
+            criteria=json_string(data["criteria"], "judgment field criteria", many=True),
             judgments=judgments,
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{path}: malformed judgment document: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def judgments_to_dict(js: JudgmentSet) -> dict:

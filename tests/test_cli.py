@@ -225,10 +225,44 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
             {"judgments": [{"a": "a", "b": 2, "value": 3}]},
             "judgment field b must be a string, got 2",
         ),
+        (
+            {"judgments": [{"a": "a", "b": "b", "value": 12}]},
+            "judgment 'a' vs 'b' is 12.0, outside [1/9, 9]",
+        ),
+        (
+            {"judgments": [{"a": "a", "b": "b", "value": "5"}]},
+            "judgment 'a' vs 'b' value must be a finite number, got '5'",
+        ),
+        ({"criteria": ["a", "b", "c"]}, "missing judgment for pair 'a'/'c'"),
+        (
+            {
+                "judgments": [
+                    {"a": "a", "b": "b", "value": 3},
+                    {"a": "b", "b": "a", "value": 3},
+                ]
+            },
+            "duplicate judgment for pair 'b'/'a'",
+        ),
+        (
+            {"judgments": [{"a": "a", "b": "x", "value": 3}]},
+            "judgment pair ('a', 'x') is not a valid pair",
+        ),
     ],
-    ids=["criteria-string", "criterion-number", "evaluator-number", "pair-number"],
+    ids=[
+        "criteria-string",
+        "criterion-number",
+        "evaluator-number",
+        "pair-number",
+        "value-out-of-range",
+        "value-string",
+        "missing-pair",
+        "duplicate-pair",
+        "invalid-pair",
+    ],
 )
 def test_weights_rejects_ill_typed_judgment_file(tmp_path, capsys, fields, message):
+    # every message names the file, once: among 40 judgment files, an
+    # unnamed "missing judgment" could belong to any of them
     path = tmp_path / "e.json"
     judgment = {
         "evaluator_id": "e",
@@ -240,6 +274,7 @@ def test_weights_rejects_ill_typed_judgment_file(tmp_path, capsys, fields, messa
     assert code == 2
     assert out == ""
     assert f"error: {path}: {message}" in err
+    assert err.count(str(path)) == 1
 
 
 def test_weights_methods_agree_on_consistent_judgments(tmp_path, capsys):
