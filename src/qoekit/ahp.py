@@ -293,7 +293,10 @@ def read_judgments(path: str | Path) -> JudgmentSet:
         judgments = {}
         for j in data["judgments"]:
             a = json_string(j["a"], "judgment field a")
-            judgments[(a, json_string(j["b"], "judgment field b"))] = j["value"]
+            b = json_string(j["b"], "judgment field b")
+            if (a, b) in judgments:
+                raise ValueError(f"duplicate judgment for pair {a!r}/{b!r}")
+            judgments[(a, b)] = j["value"]
         return JudgmentSet(
             evaluator_id=json_string(data["evaluator_id"], "judgment field evaluator_id"),
             criteria=json_string(data["criteria"], "judgment field criteria", many=True),

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -30,8 +30,6 @@ from . import trace as tracemod
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-PROFILE_DIR_ENV = "QOEKIT_PROFILE_DIR"
 
 DISPLAY_DP = 3
 TABLE_DP = 2
@@ -76,41 +74,13 @@ def stamp(payload: dict, inputs: list[str | Path]) -> dict:
     }
 
 
-def load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    data = emodel.read_json(path, "config")
-    emodel.json_object(data, f"{path}: config")
-    for key in ("model", "profile"):
-        emodel.json_string(data.get(key, ""), f"{path}: config field {key}")
-    if "window_s" in data:
-        emodel.json_number(data["window_s"], f"{path}: config field window_s")
-    return data
-
-
-def effective(flag, config: dict, key: str, default):
-    """Precedence: CLI flag, then config file, then built-in default."""
-    if flag is not None:
-        return flag
-    return config.get(key, default)
-
-
-def resolve_profile(ident: str | None) -> emodel.CodecProfile:
-    """Resolve a --profile value: built-in name, profile-dir name, or path."""
-    if ident is None or ident.lower() in ("g729", "g.729"):
+def resolve_profile(ident: str) -> emodel.CodecProfile:
+    """Resolve a --profile value: the built-in G.729, or a profile JSON path."""
+    if ident.lower() in ("g729", "g.729"):
         return emodel.G729
-    profile_dir = os.environ.get(PROFILE_DIR_ENV)
-    if profile_dir and Path(profile_dir).is_dir():
-        for candidate in sorted(Path(profile_dir).glob("*.json")):
-            profile = emodel.load_profile(candidate)
-            if ident in (profile.name, candidate.stem):
-                return profile
     if Path(ident).exists():
         return emodel.load_profile(ident)
-    raise ValueError(
-        f"unknown profile {ident!r}: not a built-in, not found under "
-        f"${PROFILE_DIR_ENV}, and not a readable file"
-    )
+    raise ValueError(f"unknown profile {ident!r}: not a built-in and not a file")
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +186,12 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
             break
         try:
             a, b, raw = reply.split()
-            if (a, b) not in judgments and (b, a) in judgments:
-                a, b = b, a
-            if (a, b) not in judgments:
+            if (b, a) in judgments:  # "a b v" means "b a 1/v"
+                judgments[(b, a)] = 1 / parse_scale_entry(raw)
+            elif (a, b) in judgments:
+                judgments[(a, b)] = parse_scale_entry(raw)
+            else:
                 raise ValueError(f"unknown pair {a!r}/{b!r}")
-            judgments[(a, b)] = parse_scale_entry(raw)
         except ValueError as exc:
             print(f"  {exc}")
             continue
@@ -338,23 +309,13 @@ def _format_mos_line(payload: dict) -> str:
 
 
 def _scoring_options(args: argparse.Namespace):
-    """Config, model and profile from the scoring flags of `mos` and `trace analyze`."""
-    config = load_config(args.config)
-    model = composite.get_model(
-        effective(args.model, config, "model", "paper-5g-ahp"),
-        composite.load_models(args.models_config),
-    )
-    profile = resolve_profile(effective(args.profile, config, "profile", None))
-    overrides = {}
-    if args.jitter_h is not None:
-        overrides["pareto_h"] = args.jitter_h
-    if args.jitter_t is not None:
-        overrides["jitter_t_ms"] = args.jitter_t
-    return config, model, replace(profile, **overrides) if overrides else profile
+    """Model and profile from the scoring flags of `mos` and `trace analyze`."""
+    model = composite.get_model(args.model, composite.load_models(args.models_config))
+    return model, resolve_profile(args.profile)
 
 
 def cmd_mos(args: argparse.Namespace) -> int:
-    _, model, profile = _scoring_options(args)
+    model, profile = _scoring_options(args)
     sample = composite.QosSample(args.loss, args.delay, args.jitter)
     mos, r_factors = composite.score_row(sample, model, profile)
     payload = {
@@ -449,15 +410,14 @@ def report_text(payload: dict, row_values: list) -> str:
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
-    config, model, profile = _scoring_options(args)
-    window_s = effective(args.window, config, "window_s", 10.0)
+    model, profile = _scoring_options(args)
 
     dp = f"%.{DISPLAY_DP}f"
     table_row = " ".join(["%d", dp, "%s", "%s", dp, dp, dp, dp])
     row_values, table, overall = [], [" ".join(REPORT_CSV_COLUMNS)], []
     # unbound, so the trace and the window list are freed before the report
     for wm in tracemod.windows(
-        tracemod.read_trace(args.trace), window_s, args.jitter_estimator
+        tracemod.read_trace(args.trace), args.window, args.jitter_estimator
     ):
         sample = wm.sample
         mos, r_factors = composite.score_row(sample, model, profile)
@@ -495,7 +455,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
             {
                 "model": model.name,
                 "profile": profile.name,
-                "window_s": window_s,
+                "window_s": args.window,
                 "jitter_estimator": args.jitter_estimator,
                 "windows": [],
                 "summary": summary,
@@ -574,16 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     # scoring flags shared by `mos` and `trace analyze`
     scoring = argparse.ArgumentParser(add_help=False)
-    scoring.add_argument("--model")
-    scoring.add_argument("--profile")
+    scoring.add_argument("--model", default="paper-5g-ahp")
     scoring.add_argument(
-        "--jitter-h", type=float, help="override profile heavy-tail shape"
-    )
-    scoring.add_argument(
-        "--jitter-t", type=float, help="override profile buffer size (ms)"
+        "--profile", default="g729", help="g729, or a codec profile JSON"
     )
     scoring.add_argument("--models-config")
-    scoring.add_argument("--config")
 
     p_mos = sub.add_parser("mos", parents=[scoring], help="score one QoS sample")
     p_mos.add_argument("--loss", type=float, required=True, help="loss percent")
@@ -604,7 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze", parents=[scoring], help="windowed metrics and MOS for a trace"
     )
     p_analyze.add_argument("trace", help="trace CSV")
-    p_analyze.add_argument("--window", type=float, help="window length (s)")
+    p_analyze.add_argument(
+        "--window", type=float, default=10.0, help="window length (s)"
+    )
     p_analyze.add_argument(
         "--jitter-estimator",
         choices=tracemod.JITTER_ESTIMATORS,

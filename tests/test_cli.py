@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qoekit import cli
-from qoekit.cli import main, parse_scale_entry, resolve_profile, sha256_file
+from qoekit.cli import main, parse_scale_entry, sha256_file
 from conftest import DATA_DIR
 
 JUDGMENT_FILES = sorted(str(p) for p in (DATA_DIR / "judgments").glob("*.json"))
@@ -101,6 +101,35 @@ def test_elicit_offers_revision_when_inconsistent(tmp_path, capsys):
         for j in json.loads(out_file.read_text())["judgments"]
     }
     assert values[("loss", "delay")] == pytest.approx(1 / 9)
+
+
+@pytest.mark.parametrize(
+    "revision, loss_vs_delay, messages",
+    [
+        # "delay loss 9" is delay 9x loss, so loss vs delay becomes 1/9
+        ("delay loss 9", 1 / 9, []),
+        ("loss rtt 1/9", 9.0, ["  unknown pair 'loss'/'rtt'"]),
+    ],
+    ids=["reversed-pair", "unknown-pair"],
+)
+def test_elicit_revision_orientation(tmp_path, capsys, revision, loss_vs_delay, messages):
+    answers = tmp_path / "answers.txt"
+    answers.write_text(f"9\n1/9\n9\n{revision}\n")
+    out_file = tmp_path / "judgments.json"
+    code, out, _ = run(
+        capsys,
+        "ahp", "elicit",
+        "--evaluator-id", "e1",
+        "--out", str(out_file),
+        "--answers", str(answers),
+    )
+    assert code == 0  # a bad revision is reported, and the prompt goes on
+    values = {
+        (j["a"], j["b"]): j["value"]
+        for j in json.loads(out_file.read_text())["judgments"]
+    }
+    assert values[("loss", "delay")] == loss_vs_delay
+    assert [ln for ln in out.splitlines() if "unknown pair" in ln] == messages
 
 
 def test_elicit_rejects_off_scale_entry_in_scripted_mode(tmp_path, capsys):
@@ -244,6 +273,15 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
             "duplicate judgment for pair 'b'/'a'",
         ),
         (
+            {
+                "judgments": [
+                    {"a": "a", "b": "b", "value": 9},
+                    {"a": "a", "b": "b", "value": 0.2},
+                ]
+            },
+            "duplicate judgment for pair 'a'/'b'",
+        ),
+        (
             {"judgments": [{"a": "a", "b": "x", "value": 3}]},
             "judgment pair ('a', 'x') is not a valid pair",
         ),
@@ -257,6 +295,7 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
         "value-string",
         "missing-pair",
         "duplicate-pair",
+        "duplicate-pair-same-orientation",
         "invalid-pair",
     ],
 )
@@ -353,6 +392,28 @@ def test_weights_rejects_non_finite_matrix_cell(tmp_path, capsys, cell, message)
     assert f"matrix cell (loss, delay) {message}" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Importance,a,b\n", "matrix CSV needs a header and data rows"),
+        ("Importance,a,b\na,1,2\n", "expected 2 data rows, got 1"),
+        ("Importance,a,b\na,1,2\nb,0.5\n", "line 3: expected 3 columns"),
+        (
+            "Importance,a,b\nb,0.5,1\na,1,2\n",
+            "line 2: row label 'b' does not match column order ('a', 'b')",
+        ),
+    ],
+    ids=["header-only", "row-count", "column-count", "label-order"],
+)
+def test_weights_rejects_malformed_matrix_csv(tmp_path, capsys, text, message):
+    path = tmp_path / "matrix.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, "ahp", "weights", "--matrix", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # mos
 
@@ -406,7 +467,6 @@ def test_mos_range_violation_named(capsys):
     "flag, value",
     [
         ("--delay", "nan"), ("--delay", "inf"), ("--jitter", "nan"), ("--jitter", "inf"),
-        ("--jitter-t", "nan"), ("--jitter-t", "inf"),
     ],
 )
 def test_mos_rejects_non_finite_input(capsys, flag, value):
@@ -414,7 +474,7 @@ def test_mos_rejects_non_finite_input(capsys, flag, value):
     code, out, err = run(capsys, "mos", *(x for kv in argv.items() for x in kv))
     assert code == 2
     assert out == ""
-    assert f"{flag[2:].replace('-', '_')}_ms must be finite" in err
+    assert f"{flag[2:]}_ms must be finite" in err
 
 
 @pytest.mark.parametrize(
@@ -441,82 +501,55 @@ def test_mos_rejects_non_numeric_profile_field(
     )
     assert code == 2
     assert out == ""
-    assert f"{field} must be a finite number" in err
+    assert f"error: {path}: {field} must be a finite number" in err
 
 
-def test_mos_jitter_overrides(capsys):
-    code, out, _ = run(
-        capsys,
-        "mos", "--loss", "0", "--delay", "0",
-        "--jitter-h", "0.9", "--jitter-t", "10", "--json",
-    )
+def test_mos_profile_file_sets_jitter_h_and_t(tmp_path, capsys):
+    # another heavy-tail shape H or buffer size T is a profile file of its own
+    doc = json.loads(Path(ZEROED_PROFILE).read_text())
+    doc["name"] = "G.729-h0.9-t10"
+    doc["jitter"].update(c1=-15.5, c2=33.5, c3=4.4, c4=13.6, h=0.9, t_ms=10)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "mos", "--loss", "0", "--delay", "0", "--profile", str(path))
     assert code == 0
-    payload = json.loads(out)
+    for field in ("mos_overall=3.995", "mos_jitter=3.175", "r_jitter=61.460",
+                  "profile=G.729-h0.9-t10"):
+        assert field in out.split()
+    code, out, _ = run(
+        capsys, "mos", "--loss", "0", "--delay", "0", "--profile", str(path), "--json"
+    )
     # H=0.9, T=10, K=30: -15.5*0.81 + 33.5*0.9 + 4.4 + 13.6*exp(-1/3)
-    assert payload["r_factors"]["jitter"] == pytest.approx(
+    assert json.loads(out)["r_factors"]["jitter"] == pytest.approx(
         93.2 - (-15.5 * 0.81 + 33.5 * 0.9 + 4.4 + 13.6 * 2.718281828459045 ** (-1 / 3)),
         abs=1e-9,
     )
 
 
-def test_mos_config_precedence(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"profile": ZEROED_PROFILE}))
-    code, out, _ = run(
-        capsys, "mos", "--loss", "0", "--delay", "0", "--config", str(config)
-    )
-    assert code == 0
-    assert "profile=G.729-zeroed-jitter" in out
-    # an explicit flag wins over the config file
-    code, out, _ = run(
-        capsys,
-        "mos", "--loss", "0", "--delay", "0",
-        "--config", str(config), "--profile", "g729",
-    )
-    assert code == 0
-    assert "profile=G.729" in out
-
-
-@pytest.mark.parametrize(
-    "config, message",
-    [
-        ({"window_s": True}, "config field window_s must be a finite number, got True"),
-        ({"window_s": "10"}, "config field window_s must be a finite number, got '10'"),
-        ({"model": ["x"]}, "config field model must be a string"),
-        ({"profile": 7}, "config field profile must be a string"),
-        (["window_s"], "config must be a JSON object, got list"),
-    ],
-    ids=["window-bool", "window-string", "model-list", "profile-number", "list"],
-)
-def test_config_rejects_ill_typed_field(tmp_path, capsys, config, message):
-    trace_csv = tmp_path / "trace.csv"
-    trace_csv.write_text("seq,send_ts_ms,recv_ts_ms\n1,0,100\n2,20,121\n3,40,139\n")
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+def test_mos_rejects_unknown_profile(capsys):
     code, out, err = run(
-        capsys, "trace", "analyze", str(trace_csv), "--config", str(path)
+        capsys, "mos", "--loss", "0", "--delay", "0", "--profile", "no-such-profile"
     )
     assert code == 2
     assert out == ""
-    assert message in err
+    assert "unknown profile 'no-such-profile'" in err
 
 
-def test_profile_dir_resolution(tmp_path, monkeypatch):
-    target = tmp_path / "profiles"
-    target.mkdir()
-    (target / "zeroed.json").write_text(Path(ZEROED_PROFILE).read_text())
-    monkeypatch.setenv("QOEKIT_PROFILE_DIR", str(target))
-    assert resolve_profile("G.729-zeroed-jitter").name == "G.729-zeroed-jitter"
-    assert resolve_profile("zeroed").name == "G.729-zeroed-jitter"
-    with pytest.raises(ValueError, match="unknown profile"):
-        resolve_profile("no-such-profile")
-    # a profile that fails to load is an error naming its file, not skipped
-    wide = json.loads(Path(ZEROED_PROFILE).read_text())
-    wide["name"] = "wide"
-    wide["jitter"]["h"] = 5
-    (target / "wide.json").write_text(json.dumps(wide))
-    with pytest.raises(ValueError, match=r"wide\.json: pareto_h must be within"):
-        resolve_profile("wide")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mos", "--loss", "0", "--delay", "0", "--config", "c.json"],
+        ["mos", "--loss", "0", "--delay", "0", "--jitter-h", "0.9"],
+        ["trace", "analyze", "t.csv", "--jitter-t", "10"],
+    ],
+    ids=["config", "jitter-h", "jitter-t"],
+)
+def test_removed_scoring_flags_are_unrecognized(capsys, argv):
+    # a model, profile or window is set by --model, --profile or --window only
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -584,6 +617,27 @@ def test_trace_gen_rejects_out_of_range_shape(tmp_path, capsys):
         assert code == 2
         assert f"{field} must be" in err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"jitter": "uniform"}, "spec field 'jitter' must be an object with a 'model'"),
+        ({"jitter": {"amplitude_ms": 5}}, "spec field 'jitter' must be an object with a 'model'"),
+        ({"duration_s": None}, "spec is missing required field 'duration_s'"),
+    ],
+    ids=["jitter-string", "jitter-without-model", "missing-field"],
+)
+def test_trace_gen_rejects_malformed_spec(tmp_path, capsys, overrides, message):
+    spec = Path(write_spec(tmp_path, **overrides))
+    fields = json.loads(spec.read_text()).items()
+    spec.write_text(json.dumps({k: v for k, v in fields if v is not None}))  # None drops
+    out = tmp_path / "t.csv"
+    code, stdout, err = run(capsys, "trace", "gen", str(spec), "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_trace_analyze_matches_point_scoring(tmp_path, capsys):
@@ -673,16 +727,6 @@ def test_trace_analyze_rejects_non_finite_row(tmp_path, capsys, value):
     assert "line 3" in err and "recv_ts_ms must be finite" in err
     assert out == ""
     assert not report.exists()
-    # a non-finite profile override on a good trace
-    good = tmp_path / "good.csv"
-    good.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,20.0,121.0\n")
-    code, out, err = run(
-        capsys, "trace", "analyze", str(good), "--jitter-t", value, "--out", str(report)
-    )
-    assert code == 2
-    assert f"jitter_t_ms must be finite, got {value}" in err
-    assert out == ""
-    assert not report.exists()
 
 
 def test_trace_analyze_empty_trace_aborts(tmp_path, capsys):
@@ -691,6 +735,15 @@ def test_trace_analyze_empty_trace_aborts(tmp_path, capsys):
     code, _, err = run(capsys, "trace", "analyze", str(empty))
     assert code == 2
     assert "no packets" in err
+
+
+def test_trace_analyze_rejects_zero_byte_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    code, out, err = run(capsys, "trace", "analyze", str(empty))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {empty}: empty trace file\n"
 
 
 def test_trace_analyze_report_hash_tracks_input(tmp_path, capsys):
