@@ -19,6 +19,7 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import combinations
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,9 @@ class JudgmentSet:
     def __post_init__(self) -> None:
         json_string(self.evaluator_id, "evaluator_id")
         criteria = json_string(self.criteria, "criteria", many=True)
-        judgments = {
-            (a, b): json_number(v, f"judgment {a!r} vs {b!r} value")
+        judgments = {  # json_number only for what is not a finite float
+            (a, b): v if type(v) is float and isfinite(v)
+            else json_number(v, f"judgment {a!r} vs {b!r} value")
             for (a, b), v in self.judgments.items()
         }
         object.__setattr__(self, "criteria", criteria)
@@ -292,8 +294,10 @@ def read_judgments(path: str | Path) -> JudgmentSet:
     try:
         judgments = {}
         for j in data["judgments"]:
-            a = json_string(j["a"], "judgment field a")
-            b = json_string(j["b"], "judgment field b")
+            if not isinstance(a := j["a"], str):  # json_string only to raise
+                json_string(a, "judgment field a")
+            if not isinstance(b := j["b"], str):
+                json_string(b, "judgment field b")
             if (a, b) in judgments:
                 raise ValueError(f"duplicate judgment for pair {a!r}/{b!r}")
             judgments[(a, b)] = j["value"]

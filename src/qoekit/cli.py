@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 input validation, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -185,7 +186,9 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
         if not reply:
             break
         try:
-            a, b, raw = reply.split()
+            if len(fields := reply.split()) != 3:
+                raise ValueError(f"expected 'criterion criterion value', got {reply!r}")
+            a, b, raw = fields
             if (b, a) in judgments:  # "a b v" means "b a 1/v"
                 judgments[(b, a)] = 1 / parse_scale_entry(raw)
             elif (a, b) in judgments:
@@ -194,6 +197,8 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
                 raise ValueError(f"unknown pair {a!r}/{b!r}")
         except ValueError as exc:
             print(f"  {exc}")
+            if source.scripted:
+                raise
             continue
         js = ahp.JudgmentSet(args.evaluator_id, criteria, judgments)
         report = _echo_judgment_summary(js)
@@ -487,7 +492,10 @@ def cmd_models_list(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser and entry point
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use.  It binds each ``cmd_*``
+    function then, by ``set_defaults(func=...)``: patching one later has no effect."""
     parser = argparse.ArgumentParser(
         prog="qoekit",
         description=(
@@ -505,9 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_elicit = ahp_sub.add_parser(
         "elicit", help="interactively collect pairwise judgments"
     )
-    p_elicit.add_argument(
-        "--criteria", nargs="+", default=list(composite.VOICE_CRITERIA)
-    )
+    p_elicit.add_argument("--criteria", nargs="+", default=composite.VOICE_CRITERIA)
     p_elicit.add_argument("--evaluator-id", required=True)
     p_elicit.add_argument("--out", required=True, help="judgment JSON to write")
     p_elicit.add_argument(
@@ -581,8 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings():  # a UserWarning is one stderr line, never an error
         warnings.simplefilter("always", UserWarning)
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)

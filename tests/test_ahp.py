@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from itertools import combinations
@@ -30,6 +31,7 @@ from qoekit.ahp import (
     judgments_to_dict,
     table_to_csv_text,
 )
+from qoekit.emodel import json_number
 from conftest import CRITERIA, DATA_DIR, REFERENCE_MATRIX
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
@@ -238,6 +240,52 @@ def test_judgment_set_rejects_coercible_library_inputs(criteria, value, message)
         JudgmentSet("e", criteria, {("a", "b"): value})
     assert str(exc.value) == message
     assert JudgmentSet("e", ["a", "b"], {("a", "b"): 5}).judgments == {("a", "b"): 5.0}
+
+
+JUDGMENT_VALUES = st.one_of(
+    st.floats(SAATY_MIN, SAATY_MAX),
+    st.floats(),
+    st.floats().map(np.float64),  # a float subclass
+    st.integers(1, 9),
+    st.integers(),
+    st.just(10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@PROPERTY_SETTINGS
+@given(value=JUDGMENT_VALUES)
+def test_judgment_set_checks_values_as_json_number(value):
+    # the set's inline check of a finite float must agree with json_number
+    # on every value: the same acceptance, the same float, the same message
+    field = "judgment 'a' vs 'b' value"
+    try:
+        expected = json_number(value, field)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            JudgmentSet("e", ("a", "b"), {("a", "b"): value})
+        assert str(info.value) == str(exc)
+        return
+    if not SAATY_MIN <= expected <= SAATY_MAX:
+        with pytest.raises(ValueError, match=r"outside \[1/9, 9\]"):
+            JudgmentSet("e", ("a", "b"), {("a", "b"): value})
+        return
+    stored = JudgmentSet("e", ("a", "b"), {("a", "b"): value}).judgments[("a", "b")]
+    assert type(stored) is float
+    assert struct.pack("<d", stored) == struct.pack("<d", expected)
+
+
+def test_read_judgments_reads_an_integer_value_as_float(tmp_path):
+    path = tmp_path / "e.json"
+    path.write_text(
+        '{"evaluator_id": "e", "criteria": ["a", "b"],'
+        ' "judgments": [{"a": "a", "b": "b", "value": 5}]}'
+    )
+    stored = read_judgments(path).judgments[("a", "b")]
+    assert type(stored) is float and stored == 5.0
 
 
 def test_matrix_validation():

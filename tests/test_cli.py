@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -32,6 +33,21 @@ def write_spec(tmp_path, **overrides):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     return str(path)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+def test_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_does_not_leak_values_between_calls():
+    parser = cli.build_parser()
+    assert parser.parse_args(["trace", "analyze", "T", "--window", "1"]).window == 1.0
+    assert parser.parse_args(["trace", "analyze", "T"]).window == 10.0
+    assert parser.parse_args(["ahp", "weights", "--json"]).json is True
+    assert parser.parse_args(["ahp", "weights"]).json is False
 
 
 # ---------------------------------------------------------------------------
@@ -104,32 +120,78 @@ def test_elicit_offers_revision_when_inconsistent(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "revision, loss_vs_delay, messages",
+    "revision, loss_vs_delay, error",
     [
         # "delay loss 9" is delay 9x loss, so loss vs delay becomes 1/9
-        ("delay loss 9", 1 / 9, []),
-        ("loss rtt 1/9", 9.0, ["  unknown pair 'loss'/'rtt'"]),
+        ("delay loss 9", 1 / 9, None),
+        ("loss rtt 1/9", None, "unknown pair 'loss'/'rtt'"),
+        (
+            "loss delay 17",
+            None,
+            "'17' is not on the 1-9 scale (use 1..9 or reciprocals like 1/3)",
+        ),
+        ("loss delay", None, "expected 'criterion criterion value', got 'loss delay'"),
     ],
-    ids=["reversed-pair", "unknown-pair"],
+    ids=["reversed-pair", "unknown-pair", "off-scale", "malformed"],
 )
-def test_elicit_revision_orientation(tmp_path, capsys, revision, loss_vs_delay, messages):
+def test_elicit_revision_orientation(tmp_path, capsys, revision, loss_vs_delay, error):
     answers = tmp_path / "answers.txt"
     answers.write_text(f"9\n1/9\n9\n{revision}\n")
     out_file = tmp_path / "judgments.json"
-    code, out, _ = run(
+    code, out, err = run(
         capsys,
         "ahp", "elicit",
         "--evaluator-id", "e1",
         "--out", str(out_file),
         "--answers", str(answers),
     )
-    assert code == 0  # a bad revision is reported, and the prompt goes on
+    if error is not None:
+        # a scripted session cannot recover, so a bad revision stops it
+        assert code == 2
+        assert out.splitlines()[-1] == f"  {error}"
+        assert err == f"error: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["answers.txt"]
+        return
+    assert code == 0
     values = {
         (j["a"], j["b"]): j["value"]
         for j in json.loads(out_file.read_text())["judgments"]
     }
     assert values[("loss", "delay")] == loss_vs_delay
-    assert [ln for ln in out.splitlines() if "unknown pair" in ln] == messages
+
+
+def test_elicit_interactive_session_reprompts_after_bad_revision(
+    tmp_path, capsys, monkeypatch
+):
+    import sys
+
+    replies = iter(["9", "1/9", "9", "loss rtt 1/9", "loss delay", "delay loss 9", ""])
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr("builtins.input", lambda prompt: next(replies))
+    out_file = tmp_path / "judgments.json"
+    code, out, err = run(
+        capsys, "ahp", "elicit", "--evaluator-id", "e1", "--out", str(out_file)
+    )
+    assert code == 0
+    assert err == ""
+    assert "  unknown pair 'loss'/'rtt'" in out.splitlines()
+    assert "  expected 'criterion criterion value', got 'loss delay'" in out.splitlines()
+    values = {
+        (j["a"], j["b"]): j["value"]
+        for j in json.loads(out_file.read_text())["judgments"]
+    }
+    assert values[("loss", "delay")] == 1 / 9
+
+
+def test_elicit_default_criteria_stay_shared_and_unchanged(tmp_path, capsys):
+    elicit = ["ahp", "elicit", "--evaluator-id", "e1", "--out", str(tmp_path / "j.json")]
+    default = cli.build_parser().parse_args(elicit).criteria
+    answers = tmp_path / "answers.txt"
+    answers.write_text("3\n5\n2\n")
+    code, _, _ = run(capsys, *elicit, "--answers", str(answers))
+    assert code == 0
+    assert cli.build_parser().parse_args(elicit).criteria is default
+    assert default == ("loss", "delay", "jitter")
 
 
 def test_elicit_rejects_off_scale_entry_in_scripted_mode(tmp_path, capsys):
@@ -244,6 +306,11 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
     assert "covers criteria" in err
 
 
+#: Stands for the literal 1e400, which json.dumps cannot write: Python's
+#: json reads it as an infinite float.
+OVERFLOW = "<1e400>"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -285,6 +352,25 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
             {"judgments": [{"a": "a", "b": "x", "value": 3}]},
             "judgment pair ('a', 'x') is not a valid pair",
         ),
+        *(
+            (
+                {"judgments": [{"a": "a", "b": "b", "value": value}]},
+                f"judgment 'a' vs 'b' value must be a finite number, got {shown}",
+            )
+            for value, shown in [
+                (math.nan, "nan"),
+                (math.inf, "inf"),
+                (-math.inf, "-inf"),
+                (OVERFLOW, "inf"),
+                (True, "True"),
+                (None, "None"),
+                ([5], "[5]"),
+            ]
+        ),
+        (
+            {"judgments": [{"a": None, "b": "b", "value": 3}]},
+            "judgment field a must be a string, got None",
+        ),
     ],
     ids=[
         "criteria-string",
@@ -297,6 +383,14 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
         "duplicate-pair",
         "duplicate-pair-same-orientation",
         "invalid-pair",
+        "value-nan",
+        "value-infinity",
+        "value-minus-infinity",
+        "value-overflow",
+        "value-true",
+        "value-null",
+        "value-list",
+        "label-null",
     ],
 )
 def test_weights_rejects_ill_typed_judgment_file(tmp_path, capsys, fields, message):
@@ -308,7 +402,8 @@ def test_weights_rejects_ill_typed_judgment_file(tmp_path, capsys, fields, messa
         "criteria": ["a", "b"],
         "judgments": [{"a": "a", "b": "b", "value": 3}],
     }
-    path.write_text(json.dumps({**judgment, **fields}))
+    text = json.dumps({**judgment, **fields})  # NaN and Infinity as Python reads them
+    path.write_text(text.replace(json.dumps(OVERFLOW), "1e400"))
     code, out, err = run(capsys, "ahp", "weights", str(path))
     assert code == 2
     assert out == ""
