@@ -51,6 +51,8 @@ def _check_criteria(criteria: tuple[str, ...]) -> None:
     for c in criteria:
         if not isinstance(c, str) or not c:
             raise ValueError(f"criterion labels must be non-empty strings, got {c!r}")
+        if not c.isascii() and any("\ud800" <= ch <= "\udfff" for ch in c):
+            raise ValueError(f"criterion label {c!r} is not encodable as UTF-8")
     if len(set(criteria)) != len(criteria):
         raise ValueError(f"criterion labels must be unique, got {criteria}")
 

@@ -20,7 +20,7 @@ import sys
 import warnings
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from pathlib import Path
 
 import numpy as np
@@ -50,13 +50,17 @@ _WRITE_CHARS = 1 << 20
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename; a failure removes it."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for i in range(0, len(text), _WRITE_CHARS):
-            fh.write(text[i : i + _WRITE_CHARS])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for i in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[i : i + _WRITE_CHARS])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def json_text(payload) -> str:
@@ -282,12 +286,13 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         },
         inputs,
     )
+    text = json_text(payload) if args.json or args.out_dir else None
     if args.json:
-        print(json_text(payload))
+        print(text)
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(out_dir / "weights.json", json_text(payload) + "\n")
+        atomic_write_text(out_dir / "weights.json", text + "\n")
         for name, table in tables.items():
             atomic_write_text(out_dir / name, ahp.table_to_csv_text(*table))
         print(f"wrote weights.json, matrix.csv, weights.csv to {out_dir}")
@@ -393,25 +398,25 @@ REPORT_ROW = """    {
       "mos_overall": %s
     }"""
 REPORT_ROW_WIDTH = REPORT_ROW.count("%s")
-#: Windows rendered per call of ``json``'s encoder, to bound the cells held.
+#: Windows scored, then rendered by one call of ``json``'s encoder, per block.
 _REPORT_BLOCK = 1024
 
 
-def report_text(payload: dict, row_values: list) -> str:
+def report_rows(values: list) -> str:
+    """One block of the "windows" list: a ``REPORT_ROW`` per ``REPORT_ROW_WIDTH``
+    of ``values``, joined by ``,\\n``.  One call of ``json``'s encoder renders
+    every value, as ``json_text`` would, so NaN and infinity raise ValueError."""
+    cells = json.dumps(values, allow_nan=False)[1:-1].split(", ")
+    return ",\n".join([REPORT_ROW] * (len(values) // REPORT_ROW_WIDTH)) % tuple(cells)
+
+
+def report_text(payload: dict, blocks: list[str]) -> str:
     """``json_text(payload)`` and a newline, with its empty "windows" list
-    holding a ``REPORT_ROW`` per ``REPORT_ROW_WIDTH`` of ``row_values``:
-    the bytes of ``json_text`` with row dicts, as ``json`` encodes every
-    value, so NaN and infinity raise ValueError."""
+    holding the ``report_rows`` blocks in order: the bytes of ``json_text``
+    with row dicts, from one join of head, blocks and tail."""
     head, tail = json_text(payload).split('"windows": []', 1)
-    parts = [head, '"windows": [']
-    step = REPORT_ROW_WIDTH * _REPORT_BLOCK
-    for i in range(0, len(row_values), step):
-        block = row_values[i : i + step]
-        cells = json.dumps(block, allow_nan=False)[1:-1].split(", ")
-        rows = ",\n".join([REPORT_ROW] * (len(block) // REPORT_ROW_WIDTH))
-        parts += [",\n" if i else "\n", rows % tuple(cells)]
-    parts += ["\n  ]", tail, "\n"]
-    return "".join(parts)
+    rows = [part for block in blocks for part in (",\n", block)][1:]
+    return "".join([head, '"windows": [\n', *rows, "\n  ]", tail, "\n"])
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
@@ -419,28 +424,36 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
 
     dp = f"%.{DISPLAY_DP}f"
     table_row = " ".join(["%d", dp, "%s", "%s", dp, dp, dp, dp])
-    row_values, table, overall = [], [" ".join(REPORT_CSV_COLUMNS)], []
-    # unbound, so the trace and the window list are freed before the report
-    for wm in tracemod.windows(
+    blocks, table, overall = [], [" ".join(REPORT_CSV_COLUMNS)], []
+    # only an iterator is bound, so the trace is freed when windows() returns
+    # and the window list when the loop ends; a block's values go once rendered
+    windows = iter(tracemod.windows(
         tracemod.read_trace(args.trace), args.window, args.jitter_estimator
-    ):
-        sample = wm.sample
-        mos, r_factors = composite.score_row(sample, model, profile)
-        row_values += (
-            wm.window_id, wm.start_ms, wm.end_ms, wm.packet_count,
-            wm.received_count, wm.lost_count, wm.partial,
-            sample.loss_pct, sample.delay_ms, sample.jitter_ms,
-            r_factors["loss"], r_factors["delay"], r_factors["jitter"],
-            mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
-        )
-        table.append(table_row % (
-            wm.window_id,
-            sample.loss_pct,
-            "n/a" if sample.delay_ms is None else dp % sample.delay_ms,
-            "n/a" if sample.jitter_ms is None else dp % sample.jitter_ms,
-            mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
-        ))
-        overall.append(mos["overall"])
+    ))
+    while block := list(islice(windows, _REPORT_BLOCK)):
+        values, lines = [], []
+        for wm in block:
+            sample = wm.sample
+            mos, r_factors = composite.score_row(sample, model, profile)
+            if args.out:
+                values += (
+                    wm.window_id, wm.start_ms, wm.end_ms, wm.packet_count,
+                    wm.received_count, wm.lost_count, wm.partial,
+                    sample.loss_pct, sample.delay_ms, sample.jitter_ms,
+                    r_factors["loss"], r_factors["delay"], r_factors["jitter"],
+                    mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
+                )
+            lines.append(table_row % (
+                wm.window_id,
+                sample.loss_pct,
+                "n/a" if sample.delay_ms is None else dp % sample.delay_ms,
+                "n/a" if sample.jitter_ms is None else dp % sample.jitter_ms,
+                mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
+            ))
+            overall.append(mos["overall"])
+        if args.out:
+            blocks.append(report_rows(values))
+        table.append("\n".join(lines))
 
     summary = {
         "window_count": len(overall),
@@ -467,7 +480,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
             },
             [args.trace],
         )
-        atomic_write_text(args.out, report_text(payload, row_values))
+        atomic_write_text(args.out, report_text(payload, blocks))
         print(f"wrote report to {args.out}")
     if args.csv:
         # the table with commas, and an empty cell where it says n/a

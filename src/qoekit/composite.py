@@ -39,7 +39,7 @@ MODEL_SCALES = ("mos-5pt", "normalized-score")
 WEIGHT_SUM_RENORM = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QosSample:
     """Measured loss/delay/jitter for one observation window.
 

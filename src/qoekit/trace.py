@@ -131,7 +131,7 @@ class Trace:
         return tuple(PacketRecord(s, t, None if r != r else r) for s, t, r in rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowMetrics:
     """Per-window measurement: loss/delay/jitter sample plus packet counts.
 

@@ -411,6 +411,31 @@ def test_weights_rejects_ill_typed_judgment_file(tmp_path, capsys, fields, messa
     assert err.count(str(path)) == 1
 
 
+def test_weights_rejects_label_not_encodable_as_utf8(tmp_path, capsys):
+    # a lone surrogate escape is valid JSON, but no output file can hold it
+    path = tmp_path / "e1.json"
+    path.write_text(json.dumps({
+        "evaluator_id": "e",
+        "criteria": ["a", "\udc80x"],
+        "judgments": [{"a": "a", "b": "\udc80x", "value": 3}],
+    }))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "ahp", "weights", str(path), "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: criterion label '\\udc80x' is not encodable as UTF-8\n"
+    assert not out_dir.exists()
+
+
+def test_weights_json_printed_equals_weights_json_file(tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    code, out, _ = run(
+        capsys, "ahp", "weights", *JUDGMENT_FILES, "--json", "--out-dir", str(out_dir)
+    )
+    assert code == 0
+    printed = out[out.index("{\n") : out.rindex("\n}") + 2]
+    assert (printed + "\n").encode("utf-8") == (out_dir / "weights.json").read_bytes()
+
+
 def test_weights_methods_agree_on_consistent_judgments(tmp_path, capsys):
     judgment = tmp_path / "e.json"
     judgment.write_text(
@@ -940,11 +965,11 @@ def test_trace_analyze_table_and_csv_cells(tmp_path, capsys):
 
 def test_report_row_template_rejects_nan():
     values = [0] * cli.REPORT_ROW_WIDTH
-    text = cli.report_text({"windows": []}, values)
+    text = cli.report_text({"windows": []}, [cli.report_rows(values)])
     assert cli.json_text(json.loads(text)) + "\n" == text
     values[-1] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.report_text({"windows": []}, values)
+        cli.report_rows(values)
 
 
 def report_row(i: int) -> tuple[dict, list]:
@@ -969,14 +994,18 @@ def report_row(i: int) -> tuple[dict, list]:
      2 * cli._REPORT_BLOCK + 1],
 )
 def test_report_blocks_equal_json_text(n_rows):
+    # rendered as cmd_trace_analyze renders them: _REPORT_BLOCK rows a block
     payload = {"model": "m", "windows": [], "summary": {"window_count": n_rows}}
     rows = [report_row(i) for i in range(n_rows)]
+    step = cli.REPORT_ROW_WIDTH * cli._REPORT_BLOCK
     values = [value for _, row_values in rows for value in row_values]
+    blocks = [cli.report_rows(values[i : i + step]) for i in range(0, len(values), step)]
     expected = cli.json_text({**payload, "windows": [row for row, _ in rows]}) + "\n"
-    assert cli.report_text(payload, values) == expected
-    values[-1] = float("nan")  # in the last block
+    assert cli.report_text(payload, blocks) == expected
+    last = values[(len(values) - 1) // step * step :]
+    last[-1] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.report_text(payload, values)
+        cli.report_rows(last)
 
 
 @pytest.mark.parametrize("chunk", [4, 5, 6, 1 << 20])
@@ -988,6 +1017,45 @@ def test_atomic_write_text_in_chunks(tmp_path, monkeypatch, chunk):
     cli.atomic_write_text(path, text)
     assert path.read_bytes() == text.encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_text_failure_removes_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        cli.atomic_write_text(path, "a" * 10 + "\udc80")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+    assert path.read_text() == "old"
+
+
+def test_analyze_without_out_renders_no_report_rows(tmp_path, capsys, monkeypatch):
+    def no_rows(values):
+        raise AssertionError("report rows rendered without --out")
+
+    monkeypatch.setattr(cli, "report_rows", no_rows)
+    trace_csv = floored_partial_trace(tmp_path / "trace.csv")
+    code, out, _ = run(capsys, "trace", "analyze", trace_csv, "--window", "0.1")
+    assert code == 0
+    assert out.startswith(" ".join(cli.REPORT_CSV_COLUMNS) + "\n")
+
+
+def test_analyze_rejects_non_finite_row_value_before_printing(tmp_path, capsys, monkeypatch):
+    # no valid input reaches it: the kernel and QosSample pass finite values only
+    trace_csv = floored_partial_trace(tmp_path / "trace.csv")
+    score_row = cli.composite.score_row
+
+    def nan_overall(*args):
+        mos, r_factors = score_row(*args)
+        return {**mos, "overall": float("nan")}, r_factors
+
+    monkeypatch.setattr(cli.composite, "score_row", nan_overall)
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "trace", "analyze", trace_csv, "--window", "0.1", "--out", str(report)
+    )
+    assert (code, out) == (2, "")
+    assert "not JSON compliant" in err
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------

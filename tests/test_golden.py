@@ -10,6 +10,7 @@ import shutil
 import pytest
 
 from conftest import DATA_DIR
+from qoekit import cli
 
 GOLDEN = DATA_DIR / "golden"
 _spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
@@ -28,8 +29,7 @@ def tree(root):
 CASES = dict(make_golden.CASES)
 
 
-@pytest.mark.parametrize("name", CASES)
-def test_golden_case(name, tmp_path, monkeypatch):
+def check_case(name, tmp_path, monkeypatch):
     work = shutil.copytree(DATA_DIR, tmp_path / "data") / "golden"
     monkeypatch.chdir(work)
     make_golden.run_case(name, CASES[name])
@@ -37,6 +37,20 @@ def test_golden_case(name, tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     for path, data in want.items():
         assert got[path] == data, f"out/{name}/{path} differs from the golden file"
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_golden_case(name, tmp_path, monkeypatch):
+    check_case(name, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+@pytest.mark.parametrize("name", [n for n in CASES if n.startswith("analyze-") and "-0.2s-" in n])
+def test_analyze_outputs_do_not_depend_on_block_size(name, block, tmp_path, monkeypatch):
+    # no golden case reaches _REPORT_BLOCK (1,024) windows; smaller blocks put
+    # block boundaries inside each report and table
+    monkeypatch.setattr(cli, "_REPORT_BLOCK", block)
+    check_case(name, tmp_path, monkeypatch)
 
 
 def test_golden_corpus_stays_small():
