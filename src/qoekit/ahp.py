@@ -286,13 +286,15 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
 # ---------------------------------------------------------------------------
 # File formats: judgment sets as JSON, criteria tables as CSV.
 
-def read_judgments(path: str | Path) -> JudgmentSet:
-    """Read a judgment set from its JSON layout; every error names ``path``.
+def read_judgments(path: str | Path, data: bytes | None = None) -> JudgmentSet:
+    """Read a judgment set from its JSON layout, in the file at ``path`` or
+    in ``data``, that file's bytes as a caller read them; every error names
+    ``path``.
 
     Expected shape: {"evaluator_id": ..., "criteria": [...],
     "judgments": [{"a": ..., "b": ..., "value": ...}, ...]}.
     """
-    data = read_json(path, "judgment")
+    data = read_json(path, "judgment", data)
     try:
         judgments = {}
         for j in data["judgments"]:

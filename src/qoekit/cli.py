@@ -68,13 +68,19 @@ def json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False)
 
 
-def stamp(payload: dict, inputs: list[str | Path]) -> dict:
-    """Prefix a report payload with tool version and input hashes."""
+def stamp(
+    payload: dict, inputs: list[str | Path], data: list[bytes] | None = None
+) -> dict:
+    """Prefix a report payload with tool version and input hashes: of
+    ``data``, the inputs' bytes as already read, when given, so no input
+    is read twice."""
+    if data is None:
+        digests = [sha256_file(p) for p in inputs]
+    else:
+        digests = [hashlib.sha256(d).hexdigest() for d in data]
     return {
         "tool": {"name": "qoekit", "version": __version__},
-        "inputs": [
-            {"path": str(p), "sha256": sha256_file(p)} for p in inputs
-        ],
+        "inputs": [{"path": str(p), "sha256": h} for p, h in zip(inputs, digests)],
         **payload,
     }
 
@@ -247,10 +253,14 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
         raise ValueError("give either judgment files or --matrix, not both")
     if args.matrix:
         matrix = ahp.read_matrix_csv(args.matrix)
-        inputs = [Path(args.matrix)]
+        inputs, data = [Path(args.matrix)], None
         aggregate_note = "pre-aggregated"
     elif args.judgments:
-        sets = [ahp.read_judgments(p) for p in args.judgments]
+        sets, data = [], []
+        for p in args.judgments:
+            with open(p, "rb") as fh:  # read once: parsed here, hashed by stamp
+                data.append(fh.read())
+            sets.append(ahp.read_judgments(p, data[-1]))
         matrix = ahp.aggregate_judgments(sets, method=args.aggregate)
         inputs = [Path(p) for p in args.judgments]
         aggregate_note = args.aggregate
@@ -285,6 +295,7 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
             "consistency": asdict(report),
         },
         inputs,
+        data,
     )
     text = json_text(payload) if args.json or args.out_dir else None
     if args.json:
@@ -431,29 +442,32 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
         tracemod.read_trace(args.trace), args.window, args.jitter_estimator
     ))
     while block := list(islice(windows, _REPORT_BLOCK)):
-        values, lines = [], []
+        values, cells = [], []
         for wm in block:
             sample = wm.sample
+            loss, delay, jitter = sample.loss_pct, sample.delay_ms, sample.jitter_ms
             mos, r_factors = composite.score_row(sample, model, profile)
+            m_loss, m_delay, m_jitter, m_overall = (
+                mos["loss"], mos["delay"], mos["jitter"], mos["overall"]
+            )
             if args.out:
                 values += (
                     wm.window_id, wm.start_ms, wm.end_ms, wm.packet_count,
                     wm.received_count, wm.lost_count, wm.partial,
-                    sample.loss_pct, sample.delay_ms, sample.jitter_ms,
+                    loss, delay, jitter,
                     r_factors["loss"], r_factors["delay"], r_factors["jitter"],
-                    mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
+                    m_loss, m_delay, m_jitter, m_overall,
                 )
-            lines.append(table_row % (
-                wm.window_id,
-                sample.loss_pct,
-                "n/a" if sample.delay_ms is None else dp % sample.delay_ms,
-                "n/a" if sample.jitter_ms is None else dp % sample.jitter_ms,
-                mos["loss"], mos["delay"], mos["jitter"], mos["overall"],
-            ))
-            overall.append(mos["overall"])
+            cells += (
+                wm.window_id, loss,
+                "n/a" if delay is None else dp % delay,
+                "n/a" if jitter is None else dp % jitter,
+                m_loss, m_delay, m_jitter, m_overall,
+            )
+            overall.append(m_overall)
         if args.out:
             blocks.append(report_rows(values))
-        table.append("\n".join(lines))
+        table.append("\n".join([table_row] * len(block)) % tuple(cells))
 
     summary = {
         "window_count": len(overall),

@@ -165,15 +165,20 @@ def component_mos(
     profile baseline, and since a larger buffer lowers the penalty,
     jitter beyond the buffer raises the jitter component.
     """
-    terms = {
-        "loss": loss_impairment(sample.loss_pct, profile),
-        "delay": None if sample.delay_ms is None else delay_impairment(sample.delay_ms),
-        "jitter": None if sample.jitter_ms is None else jitter_impairment(
-            profile, max(profile.jitter_t_ms, sample.jitter_ms)
-        ),
+    r0 = profile.r0
+    loss = r0 - loss_impairment(sample.loss_pct, profile)
+    delay, jitter = sample.delay_ms, sample.jitter_ms
+    if delay is not None:
+        delay = r0 - delay_impairment(delay)
+    if jitter is not None:
+        t_ms = profile.jitter_t_ms  # the buffer-floor max(t_ms, jitter_ms)
+        jitter = r0 - jitter_impairment(profile, jitter if jitter > t_ms else t_ms)
+    r_factors = {"loss": loss, "delay": delay, "jitter": jitter}
+    mos = {
+        "loss": mos_from_r(loss),
+        "delay": MOS_MIN if delay is None else mos_from_r(delay),
+        "jitter": MOS_MIN if jitter is None else mos_from_r(jitter),
     }
-    r_factors = {c: None if t is None else profile.r0 - t for c, t in terms.items()}
-    mos = {c: MOS_MIN if r is None else mos_from_r(r) for c, r in r_factors.items()}
     return mos, r_factors
 
 

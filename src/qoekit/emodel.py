@@ -10,6 +10,7 @@ All functions here are pure and reentrant.  Codec constants live in a
 """
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -94,10 +95,10 @@ def delay_impairment(delay_ms: float) -> float:
 
     Linear at 0.024/ms, with an extra 0.11/ms beyond the 177.3 ms knee.
     """
-    if delay_ms < 0:
-        raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
+    if not 0.0 <= delay_ms < math.inf:  # NaN fails every comparison
+        raise ValueError(f"delay_ms must be finite and >= 0, got {delay_ms}")
     excess = delay_ms - DELAY_KNEE_MS
-    return 0.024 * delay_ms + 0.11 * max(excess, 0.0)
+    return 0.024 * delay_ms + 0.11 * (excess if excess > 0.0 else 0.0)
 
 
 def loss_impairment(loss_pct: float, profile: CodecProfile = G729) -> float:
@@ -123,6 +124,8 @@ def jitter_impairment(profile: CodecProfile = G729, t_ms: float | None = None) -
     h = profile.pareto_h
     if t_ms is None:
         t_ms = profile.jitter_t_ms
+    elif not 0.0 <= t_ms < math.inf:
+        raise ValueError(f"t_ms must be finite and >= 0, got {t_ms}")
     return (
         profile.jitter_c1 * h * h
         + profile.jitter_c2 * h
@@ -136,14 +139,17 @@ def mos_from_r(r: float) -> float:
 
     Ratings at or above 100 map to 4.5, at or below 0 to 1.0.  In between
     a cubic interpolation applies, clamped to [1.0, 4.5]; the clamp also
-    floors a small dip of the raw cubic below 1.0 near R = 3.
+    floors a small dip of the raw cubic below 1.0 near R = 3.  A NaN or
+    infinite rating raises ValueError.
     """
-    if r >= 100.0:
-        return MOS_MAX
-    if r <= 0.0:
-        return MOS_MIN
+    if not 0.0 < r < 100.0:
+        if not abs(r) < math.inf:  # NaN fails every comparison
+            raise ValueError(f"r must be finite, got {r}")
+        return MOS_MAX if r >= 100.0 else MOS_MIN
     raw = 1.0 + 0.035 * r + r * (r - 60.0) * (100.0 - r) * 7e-6
-    return min(MOS_MAX, max(MOS_MIN, raw))
+    # the clamp as comparisons: min(MOS_MAX, max(MOS_MIN, raw)), bit for bit
+    raw = raw if raw > MOS_MIN else MOS_MIN
+    return raw if raw < MOS_MAX else MOS_MAX
 
 
 def json_number(value, field: str, integer: bool = False) -> float | int:
@@ -156,10 +162,16 @@ def json_number(value, field: str, integer: bool = False) -> float | int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
-def read_json(path: str | Path, what: str):
-    """The parsed JSON document of an input file; a syntax error becomes a
-    ValueError naming the file and ``what`` it holds."""
-    with open(path, "r", encoding="utf-8") as fh:
+def read_json(path: str | Path, what: str, data: bytes | None = None):
+    """The parsed JSON document of an input file, or of ``data``, the bytes
+    a caller has read from it; a syntax error becomes a ValueError naming
+    the file and ``what`` it holds."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    # decoded as a file opened in text mode as UTF-8 (universal newlines
+    # too), so an error gives the same line, column and position
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -205,7 +217,18 @@ def profile_from_dict(data: dict) -> CodecProfile:
         name = json_string(data["name"], "profile field name")
     except KeyError as exc:
         raise ValueError(f"profile is missing required field {exc}") from exc
-    return CodecProfile(name, **{f: json_number(v, f) for f, v in fields.items()})
+    profile = CodecProfile(name, **{f: json_number(v, f) for f, v in fields.items()})
+    # Finite coefficients can still overflow a term to a non-finite rating.
+    # The loss term is monotone in loss_pct and the jitter term in t_ms, so
+    # one that overflows anywhere does so at 100% loss (if the log is
+    # defined there) or at the jitter_t_ms buffer floor.
+    ends = {"jitter_c1 to jitter_c4": jitter_impairment(profile)}
+    if profile.loss_c > -1.0:
+        ends["loss_a, loss_b and loss_c"] = loss_impairment(100.0, profile)
+    for fields_named, value in ends.items():
+        if not abs(value) < math.inf:  # NaN fails every comparison
+            raise ValueError(f"{fields_named} give a non-finite impairment, got {value}")
+    return profile
 
 
 def load_profile(path: str | Path) -> CodecProfile:

@@ -436,6 +436,25 @@ def test_weights_json_printed_equals_weights_json_file(tmp_path, capsys):
     assert (printed + "\n").encode("utf-8") == (out_dir / "weights.json").read_bytes()
 
 
+def test_weights_opens_each_judgment_file_once(capsys, monkeypatch):
+    # the bytes read for parsing are the bytes hashed into the report
+    files = [*JUDGMENT_FILES, JUDGMENT_FILES[0]]  # a file given twice is read twice
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, _ = run(capsys, "ahp", "weights", *files, "--json")
+    monkeypatch.undo()
+    assert code == 0
+    assert [p for p in opened if p in files] == files
+    stamped = json.loads(out[out.index("{\n") :])["inputs"]
+    assert stamped == [{"path": p, "sha256": sha256_file(p)} for p in files]
+
+
 def test_weights_methods_agree_on_consistent_judgments(tmp_path, capsys):
     judgment = tmp_path / "e.json"
     judgment.write_text(
@@ -622,6 +641,46 @@ def test_mos_rejects_non_numeric_profile_field(
     assert code == 2
     assert out == ""
     assert f"error: {path}: {field} must be a finite number" in err
+
+
+@pytest.mark.parametrize(
+    "changes, fields, value",
+    [
+        ({"loss": {"b": 1e308}}, "loss_a, loss_b and loss_c", "inf"),  # 11 + 1e308 * ln 11
+        ({"loss": {"b": 0.0, "c": 1e308}}, "loss_a, loss_b and loss_c", "nan"),  # 0 * ln inf
+        # 1.7e308 + 1e308 * exp(-40/30) overflows at the buffer floor only
+        ({"jitter": {"c3": 1.7e308, "c4": 1e308}}, "jitter_c1 to jitter_c4", "inf"),
+    ],
+    ids=["loss-inf", "loss-nan", "jitter-inf"],
+)
+def test_mos_rejects_profile_whose_terms_overflow(tmp_path, capsys, changes, fields, value):
+    # finite coefficients, but a rating of -inf or NaN: named at load,
+    # whatever loss and jitter the run asks for
+    doc = json.loads(Path(ZEROED_PROFILE).read_text())
+    for block, update in changes.items():
+        doc[block].update(update)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(
+        capsys, "mos", "--loss", "0", "--delay", "0", "--profile", str(path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {fields} give a non-finite impairment, got {value}\n"
+
+
+def test_mos_accepts_profile_with_large_finite_terms(tmp_path, capsys):
+    # terms that stay finite at their far ends load and floor the MOS; a
+    # loss_c of -1 leaves the log undefined only at 100% loss
+    doc = json.loads(Path(ZEROED_PROFILE).read_text())
+    doc["name"] = "big"
+    doc["loss"].update(b=1e300, c=-1.0)
+    doc["jitter"].update(c3=1.5e308, c4=1e308)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "mos", "--loss", "50", "--delay", "0", "--profile", str(path))
+    assert code == 0
+    assert {"mos_loss=4.500", "mos_jitter=1.000", "profile=big"} <= set(out.split())
 
 
 def test_mos_profile_file_sets_jitter_h_and_t(tmp_path, capsys):

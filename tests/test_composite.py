@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_scoring as reference
 from qoekit import (
     G729,
     PRESETS,
@@ -18,6 +20,7 @@ from qoekit import (
     column_average_weights,
     combine,
     component_mos,
+    delay_impairment,
     get_model,
     jitter_impairment,
     load_models,
@@ -25,6 +28,8 @@ from qoekit import (
     mos_from_r,
     score,
 )
+from qoekit.composite import score_row
+from qoekit.emodel import DELAY_KNEE_MS
 from conftest import CRITERIA, REFERENCE_MATRIX
 
 ZEROED = CodecProfile(
@@ -320,6 +325,64 @@ def test_jitter_term_matches_profile_with_raised_buffer(profile, offset):
     assert jitter_impairment(profile, jitter) == jitter_impairment(
         replace(profile, jitter_t_ms=jitter)
     )
+
+
+def around(point: float, spread: float):
+    """None, +-0.0, floats on both sides of ``point``, the point itself and
+    its neighbours."""
+    return st.one_of(
+        st.none(),
+        st.sampled_from([0.0, -0.0, point]),
+        st.floats(max(0.0, point - spread), point),
+        st.floats(point, point + spread),
+        st.sampled_from([math.nextafter(point, 0.0), math.nextafter(point, math.inf)]),
+    )
+
+
+#: A model over the voice criteria in another order than the components'.
+JITTER_FIRST = make_model("jld", (0.3, 0.3, 0.4), ("jitter", "loss", "delay"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    loss=st.one_of(st.floats(0.0, 100.0), st.sampled_from([0.0, 100.0])),
+    delay=st.one_of(around(DELAY_KNEE_MS, 200.0), st.floats(0.0, 1e5)),
+    data=st.data(),
+    profile=st.sampled_from([G729, CUSTOM_JITTER]),
+    model=st.sampled_from([PAPER, JITTER_FIRST]),
+)
+def test_score_row_equals_reference_bit_for_bit(loss, delay, data, profile, model):
+    jitter = data.draw(around(profile.jitter_t_ms, 100.0))
+    sample = QosSample(loss, delay, jitter)
+    got = score_row(sample, model, profile)
+    assert repr(got) == repr(reference.score_row(sample, model, profile))
+    assert repr(component_mos(sample, profile)) == repr(
+        reference.component_mos(sample, profile)
+    )
+    if delay is not None:
+        assert repr(delay_impairment(delay)) == repr(reference.delay_impairment(delay))
+
+
+# R = 0 and 100, either side of them, +-0.0, and the cubic's dip below 1.0 near R = 3
+MOS_EDGE_RATINGS = [
+    0.0, -0.0, 100.0, math.nextafter(0.0, 1.0), math.nextafter(100.0, 0.0),
+    math.nextafter(0.0, -1.0), math.nextafter(100.0, 200.0), -1e308, 1e308,
+    *(k / 8 for k in range(1, 64)),
+]
+
+
+def test_mos_from_r_clamp_equals_min_max():
+    for r in MOS_EDGE_RATINGS:
+        assert repr(mos_from_r(r)) == repr(reference.mos_from_r(r)), r
+        if 0.0 < r < 100.0:
+            raw = 1.0 + 0.035 * r + r * (r - 60.0) * (100.0 - r) * 7e-6
+            assert repr(mos_from_r(r)) == repr(min(4.5, max(1.0, raw))), r
+
+
+@PROPERTY_SETTINGS
+@given(r=st.floats(-1e3, 1e3))
+def test_mos_from_r_equals_reference(r):
+    assert repr(mos_from_r(r)) == repr(reference.mos_from_r(r))
 
 
 def test_presets_table():

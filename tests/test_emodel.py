@@ -57,6 +57,29 @@ def test_delay_impairment_rejects_negative():
         delay_impairment(-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+def test_point_functions_reject_non_finite_input(value):
+    # each names its argument, as loss_impairment does; NaN fails every
+    # comparison, so without the checks it came out as nan, inf or a MOS of 1.0
+    with pytest.raises(ValueError, match=f"delay_ms must be finite and >= 0, got {value}"):
+        delay_impairment(value)
+    with pytest.raises(ValueError, match=f"t_ms must be finite and >= 0, got {value}"):
+        jitter_impairment(G729, value)
+    with pytest.raises(ValueError, match=r"loss_pct must be within \[0, 100\]"):
+        loss_impairment(value)
+    if value != -1.0:  # a negative rating is a valid input: MOS 1.0
+        with pytest.raises(ValueError, match=f"r must be finite, got {value}"):
+            mos_from_r(value)
+
+
+def test_point_functions_keep_their_edge_values():
+    assert delay_impairment(0.0) == delay_impairment(-0.0) == 0.0
+    assert jitter_impairment(G729, 0.0) == jitter_impairment(G729, -0.0)
+    assert jitter_impairment(G729, G729.jitter_t_ms) == jitter_impairment(G729)
+    assert mos_from_r(-1e308) == mos_from_r(-0.0) == 1.0
+    assert mos_from_r(1e308) == 4.5
+
+
 def test_delay_impairment_continuous_at_knee():
     below = delay_impairment(DELAY_KNEE_MS - 1e-9)
     at = delay_impairment(DELAY_KNEE_MS)

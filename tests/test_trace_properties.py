@@ -235,10 +235,15 @@ def trace_rows(draw):
 
 
 def file_text(draw, rows) -> str:
-    """Header and rows with LF or CRLF line ends, with or without a final one."""
-    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    """Header and rows, each line ended by LF or CRLF drawn on its own, so
+    one file can mix both; the last line with or without its end."""
     lines = [",".join(trace_module.TRACE_HEADER)] + [",".join(row) for row in rows]
-    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    ends = draw(st.lists(
+        st.sampled_from(["\r\n", "\n"]), min_size=len(lines), max_size=len(lines)
+    ))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
 
 
 def read_both(text: str, block_bytes: int):
