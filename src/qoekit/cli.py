@@ -15,6 +15,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -409,16 +410,37 @@ REPORT_ROW = """    {
       "mos_overall": %s
     }"""
 REPORT_ROW_WIDTH = REPORT_ROW.count("%s")
+_DP = f"%.{DISPLAY_DP}f"
+#: One line of the ``trace analyze`` table, with a format per ``REPORT_CSV_COLUMNS``.
+TABLE_ROW = " ".join(["%d", _DP, "%s", "%s", _DP, _DP, _DP, _DP])
 #: Windows scored, then rendered by one call of ``json``'s encoder, per block.
 _REPORT_BLOCK = 1024
 
 
-def report_rows(values: list) -> str:
-    """One block of the "windows" list: a ``REPORT_ROW`` per ``REPORT_ROW_WIDTH``
-    of ``values``, joined by ``,\\n``.  One call of ``json``'s encoder renders
-    every value, as ``json_text`` would, so NaN and infinity raise ValueError."""
+def report_rows(rows: list[str], values: list) -> str:
+    """One block of the "windows" list: ``rows``, a ``REPORT_ROW`` or a
+    ``row_templates`` row per window, joined by ``,\\n`` and filled with
+    ``values`` in order.  One call of ``json``'s encoder renders every value,
+    as ``json_text`` would, so NaN and infinity raise ValueError."""
     cells = json.dumps(values, allow_nan=False)[1:-1].split(", ")
-    return ",\n".join([REPORT_ROW] * (len(values) // REPORT_ROW_WIDTH)) % tuple(cells)
+    return ",\n".join(rows) % tuple(cells)
+
+
+def row_templates(loss_pct, r_loss, mos_loss, r_jitter, mos_jitter) -> tuple[str, str]:
+    """``REPORT_ROW`` and ``TABLE_ROW`` with a window's loss and jitter cells
+    filled in: a ``%s`` (or a table format) is left for each of the others.
+    The report cells go through ``json``'s encoder, as in ``report_rows``,
+    so NaN and infinity raise ValueError."""
+    cells = [loss_pct, r_loss, r_jitter, mos_loss, mos_jitter]  # in REPORT_ROW order
+    loss_s, r_loss_s, r_jitter_s, m_loss_s, m_jitter_s = (
+        json.dumps(cells, allow_nan=False)[1:-1].split(", ")
+    )
+    row = REPORT_ROW % (
+        *["%s"] * 7, loss_s, "%s", "%s", r_loss_s, "%s", r_jitter_s,
+        m_loss_s, "%s", m_jitter_s, "%s",
+    )
+    line = " ".join(["%d", _DP % loss_pct, "%s", "%s", _DP % mos_loss, _DP, _DP % mos_jitter, _DP])
+    return row, line
 
 
 def report_text(payload: dict, blocks: list[str]) -> str:
@@ -433,51 +455,71 @@ def report_text(payload: dict, blocks: list[str]) -> str:
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
     model, profile = _scoring_options(args)
 
-    dp = f"%.{DISPLAY_DP}f"
-    table_row = " ".join(["%d", dp, "%s", "%s", dp, dp, dp, dp])
-    blocks, table, overall = [], [" ".join(REPORT_CSV_COLUMNS)], []
+    out, dp = bool(args.out), _DP
+    blocks, table = [], [" ".join(REPORT_CSV_COLUMNS)]
+    count, total, lowest = 0, 0.0, math.inf
     # only an iterator is bound, so the trace is freed when windows() returns
     # and the window list when the loop ends; a block's values go once rendered
     windows = iter(tracemod.windows(
         tracemod.read_trace(args.trace), args.window, args.jitter_estimator
     ))
     while block := list(islice(windows, _REPORT_BLOCK)):
-        values, cells = [], []
-        for wm in block:
-            sample = wm.sample
+        # A window's loss and jitter cells (its key) repeat across windows, so
+        # a key seen a second time in the block gets row templates with them
+        # rendered; a key seen once, as when jitter exceeds the buffer, costs
+        # a lookup and no template.
+        rows, values, lines, cells, seen = [], [], [], [], {}
+        for wid, sample, expected, lost, received, start, end, partial in block:
             loss, delay, jitter = sample.loss_pct, sample.delay_ms, sample.jitter_ms
             mos, r_factors = composite.score_row(sample, model, profile)
+            r_loss, r_delay, r_jitter = r_factors["loss"], r_factors["delay"], r_factors["jitter"]
             m_loss, m_delay, m_jitter, m_overall = (
                 mos["loss"], mos["delay"], mos["jitter"], mos["overall"]
             )
-            if args.out:
-                values += (
-                    wm.window_id, wm.start_ms, wm.end_ms, wm.packet_count,
-                    wm.received_count, wm.lost_count, wm.partial,
-                    loss, delay, jitter,
-                    r_factors["loss"], r_factors["delay"], r_factors["jitter"],
-                    m_loss, m_delay, m_jitter, m_overall,
-                )
-            cells += (
-                wm.window_id, loss,
-                "n/a" if delay is None else dp % delay,
-                "n/a" if jitter is None else dp % jitter,
-                m_loss, m_delay, m_jitter, m_overall,
-            )
-            overall.append(m_overall)
-        if args.out:
-            blocks.append(report_rows(values))
-        table.append("\n".join([table_row] * len(block)) % tuple(cells))
+            delay_s = "n/a" if delay is None else dp % delay
+            jitter_s = "n/a" if jitter is None else dp % jitter
+            key = (loss, r_loss, m_loss, r_jitter, m_jitter)
+            templates = seen.get(key)
+            if templates is None:
+                seen[key] = False
+            elif templates is False:
+                templates = seen[key] = row_templates(*key)
+            if templates:
+                row, line = templates
+                if out:
+                    values += (
+                        wid, start, end, expected, received, lost, partial,
+                        delay, jitter, r_delay, m_delay, m_overall,
+                    )
+                cells += (wid, delay_s, jitter_s, m_delay, m_overall)
+            else:
+                row, line = REPORT_ROW, TABLE_ROW
+                if out:
+                    values += (
+                        wid, start, end, expected, received, lost, partial,
+                        loss, delay, jitter, r_loss, r_delay, r_jitter,
+                        m_loss, m_delay, m_jitter, m_overall,
+                    )
+                cells += (wid, loss, delay_s, jitter_s, m_loss, m_delay, m_jitter, m_overall)
+            rows.append(row)
+            lines.append(line)
+            total += m_overall  # left to right, so no Python version changes the mean
+            if m_overall < lowest:
+                lowest = m_overall
+        if out:
+            blocks.append(report_rows(rows, values))
+        table.append("\n".join(lines) % tuple(cells))
+        count += len(block)
 
     summary = {
-        "window_count": len(overall),
-        "mean_mos": sum(overall) / len(overall),
-        "min_mos": min(overall),
+        "window_count": count,
+        "mean_mos": total / count,
+        "min_mos": lowest,
     }
     table_text = "\n".join(table)
     print(table_text)
     print(
-        f"summary: windows={len(overall)} "
+        f"summary: windows={count} "
         f"mean_mos={summary['mean_mos']:.{DISPLAY_DP}f} "
         f"min_mos={summary['min_mos']:.{DISPLAY_DP}f}"
     )

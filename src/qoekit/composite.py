@@ -8,6 +8,7 @@ stay independent before the weighted combination.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from collections.abc import Mapping
@@ -80,6 +81,12 @@ class CompositeModel:
     def criteria(self) -> tuple[str, ...]:
         return self.weights.criteria
 
+    @functools.cached_property
+    def _weight_of(self) -> dict[str, float]:
+        """Criterion -> weight in criteria order, built once per model for
+        :func:`combine`; not to be modified."""
+        return self.weights.as_dict()
+
 
 def make_model(
     name: str, weights, criteria: tuple[str, ...], scale: str = "mos-5pt"
@@ -92,7 +99,9 @@ def make_model(
     further off is rejected.
     """
     values = tuple(json_number(v, f"model {name!r} weight") for v in weights)
-    total = sum(values)
+    total = 0.0
+    for v in values:  # left to right, as in combine
+        total += v
     if not abs(total - 1.0) <= WEIGHT_SUM_RENORM:  # NaN fails too
         raise ValueError(
             f"model {name!r}: weights sum to {total:.6f}, "
@@ -104,7 +113,10 @@ def make_model(
             stacklevel=2,
         )
         values = tuple(v / total for v in values)
-    return CompositeModel(name, WeightVector(tuple(criteria), values), scale)
+    try:
+        return CompositeModel(name, WeightVector(tuple(criteria), values), scale)
+    except ValueError as exc:  # name the model, as the checks above do
+        raise ValueError(f"model {name!r}: {exc}") from exc
 
 
 #: Built-in models by name, read-only.  The voice model carries the
@@ -134,9 +146,13 @@ def combine(model: CompositeModel, components: Mapping[str, float]) -> float:
 
     Component criteria must match the model's exactly.  The result is a
     convex combination, so it lies within [min component, max component].
+    The terms are added left to right from 0.0 in criteria order, as
+    ``sum()`` adds floats through Python 3.11 (it compensates from 3.12
+    on), so the result does not depend on the Python version.
     """
-    criteria = model.criteria
-    if components.keys() != set(criteria):
+    weight_of = model._weight_of
+    if components.keys() != weight_of.keys():
+        criteria = model.criteria
         missing = set(criteria) - set(components)
         if missing:
             raise ValueError(f"missing components for criteria {sorted(missing)}")
@@ -144,8 +160,10 @@ def combine(model: CompositeModel, components: Mapping[str, float]) -> float:
             f"components {sorted(set(components) - set(criteria))} do not belong "
             f"to model {model.name!r} (criteria {list(criteria)})"
         )
-    weights = model.weights.values
-    return sum(w * float(components[c]) for w, c in zip(weights, criteria))
+    total = 0.0
+    for criterion, weight in weight_of.items():
+        total += weight * float(components[criterion])
+    return total
 
 
 def component_mos(
@@ -236,11 +254,14 @@ def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
             criteria = json_string(entry["criteria"], f"{prefix} criteria", many=True)
             name, weights = json_string(entry["name"], f"{prefix} name"), entry["weights"]
             if name in models:
-                raise ValueError(f"model {name!r} is already registered")
+                raise ValueError(f"{path}: model {name!r} is already registered")
             scale = json_string(entry.get("scale", "mos-5pt"), f"{prefix} scale")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                models[name] = make_model(name, weights, criteria, scale)
+                try:
+                    models[name] = make_model(name, weights, criteria, scale)
+                except ValueError as exc:  # name the file, as the checks above do
+                    raise ValueError(f"{path}: {exc}") from exc
             for warning in caught:  # name the file, not a line of this module
                 warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
         except (KeyError, TypeError) as exc:

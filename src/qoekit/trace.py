@@ -17,6 +17,7 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +132,7 @@ class Trace:
         return tuple(PacketRecord(s, t, None if r != r else r) for s, t, r in rows)
 
 
-@dataclass(frozen=True, slots=True)
-class WindowMetrics:
+class WindowMetrics(NamedTuple):
     """Per-window measurement: loss/delay/jitter sample plus packet counts.
 
     ``packet_count`` is the expected count from the window's seq span;
@@ -328,20 +328,21 @@ def windows(
     if len(deltas):
         deltas.partition(k)  # in place; np.partition would copy
     coverage_end = t_end + (deltas[k].item() if len(deltas) else 0.0)
-    out = []
-    for idx, (expected, received, loss, delay, jitter) in enumerate(
-        zip(*(column.tolist() for column in m[1:]))
-    ):
-        start = t0 + idx * win_ms
-        end = start + win_ms
-        delay = None if delay != delay else delay
-        jitter = None if jitter != jitter else jitter
-        sample = QosSample(loss, delay, jitter)
-        lost, partial = expected - received, idx == n - 1 and coverage_end < end
-        out.append(
-            WindowMetrics(idx, sample, expected, lost, received, start, end, partial)
-        )
-    return out
+    # start = t0 + idx * win_ms and end = start + win_ms per window, with the
+    # same IEEE operations as the scalar arithmetic
+    starts = t0 + np.arange(n) * win_ms
+    ends = starts + win_ms
+    partial = [False] * n
+    partial[-1] = coverage_end < ends[-1].item()
+    delay, jitter = (
+        [None if v != v else v for v in column.tolist()] for column in (m.delay_ms, m.jitter_ms)
+    )
+    samples = map(QosSample, m.loss_pct.tolist(), delay, jitter)
+    columns = (
+        range(n), samples, m.expected.tolist(), (m.expected - m.received).tolist(),
+        m.received.tolist(), starts.tolist(), ends.tolist(), partial,
+    )
+    return list(map(WindowMetrics._make, zip(*columns)))
 
 
 #: Packets decoded per block of draws in :func:`generate`; bounds its

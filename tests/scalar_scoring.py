@@ -50,8 +50,10 @@ def combine(model, components) -> float:
     criteria = model.criteria
     if components.keys() != set(criteria):
         raise ValueError(f"components {sorted(components)} do not match {criteria}")
-    weights = model.weights.values
-    return sum(w * float(components[c]) for w, c in zip(weights, criteria))
+    total = 0.0  # left to right: sum() compensates from Python 3.12 on
+    for w, c in zip(model.weights.values, criteria):
+        total += w * float(components[c])
+    return total
 
 
 def score_row(sample, model, profile):

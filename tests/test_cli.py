@@ -1,12 +1,23 @@
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qoekit import cli
 from qoekit.cli import main, parse_scale_entry, sha256_file
+from qoekit.emodel import G729
+from qoekit.trace import JITTER_ESTIMATORS, Trace, trace_to_csv_text
 from conftest import DATA_DIR
 
 JUDGMENT_FILES = sorted(str(p) for p in (DATA_DIR / "judgments").glob("*.json"))
@@ -1024,11 +1035,11 @@ def test_trace_analyze_table_and_csv_cells(tmp_path, capsys):
 
 def test_report_row_template_rejects_nan():
     values = [0] * cli.REPORT_ROW_WIDTH
-    text = cli.report_text({"windows": []}, [cli.report_rows(values)])
+    text = cli.report_text({"windows": []}, [cli.report_rows([cli.REPORT_ROW], values)])
     assert cli.json_text(json.loads(text)) + "\n" == text
     values[-1] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.report_rows(values)
+        cli.report_rows([cli.REPORT_ROW], values)
 
 
 def report_row(i: int) -> tuple[dict, list]:
@@ -1058,13 +1069,16 @@ def test_report_blocks_equal_json_text(n_rows):
     rows = [report_row(i) for i in range(n_rows)]
     step = cli.REPORT_ROW_WIDTH * cli._REPORT_BLOCK
     values = [value for _, row_values in rows for value in row_values]
-    blocks = [cli.report_rows(values[i : i + step]) for i in range(0, len(values), step)]
+    blocks = [
+        cli.report_rows([cli.REPORT_ROW] * (len(chunk) // cli.REPORT_ROW_WIDTH), chunk)
+        for chunk in (values[i : i + step] for i in range(0, len(values), step))
+    ]
     expected = cli.json_text({**payload, "windows": [row for row, _ in rows]}) + "\n"
     assert cli.report_text(payload, blocks) == expected
     last = values[(len(values) - 1) // step * step :]
     last[-1] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.report_rows(last)
+        cli.report_rows([cli.REPORT_ROW] * (len(last) // cli.REPORT_ROW_WIDTH), last)
 
 
 @pytest.mark.parametrize("chunk", [4, 5, 6, 1 << 20])
@@ -1088,7 +1102,7 @@ def test_atomic_write_text_failure_removes_temp_file(tmp_path):
 
 
 def test_analyze_without_out_renders_no_report_rows(tmp_path, capsys, monkeypatch):
-    def no_rows(values):
+    def no_rows(rows, values):
         raise AssertionError("report rows rendered without --out")
 
     monkeypatch.setattr(cli, "report_rows", no_rows)
@@ -1115,6 +1129,100 @@ def test_analyze_rejects_non_finite_row_value_before_printing(tmp_path, capsys, 
     assert (code, out) == (2, "")
     assert "not JSON compliant" in err
     assert not report.exists()
+
+
+def analyze_outputs(trace_csv, work, *options):
+    """stdout, report and table of ``trace analyze --out --csv`` in ``work``."""
+    report, table = work / "R.json", work / "R.csv"
+    argv = ["trace", "analyze", str(trace_csv), "--out", str(report), "--csv", str(table)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([*argv, *options]) == 0
+    return out.getvalue(), report.read_bytes(), table.read_bytes()
+
+
+def template_keys(report: bytes) -> list[tuple]:
+    """Each window's loss and jitter cells, the key of its row templates."""
+    return [
+        (w["loss_pct"], w["r_factors"]["loss"], w["mos_loss"],
+         w["r_factors"]["jitter"], w["mos_jitter"])
+        for w in json.loads(report)["windows"]
+    ]
+
+
+@st.composite
+def voice_traces(draw):
+    """20 ms voice with iid loss and delay 80 + U(0, amplitude) ms.  Under
+    the 40 ms buffer floor the loss and jitter cells of windows repeat; at
+    an amplitude of 600 ms nearly every window's jitter cells are distinct."""
+    n = draw(st.integers(1, 300))
+    loss = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    amplitude = draw(st.sampled_from([0.0, 10.0, 600.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    send = np.arange(n) * 20.0
+    recv = send + 80.0 + rng.uniform(0.0, amplitude, n)
+    recv[rng.random(n) < loss] = np.nan
+    return Trace(columns=(np.arange(1, n + 1), send, recv))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trace=voice_traces(),
+    window=st.sampled_from(["0.1", "0.2", "1"]),
+    estimator=st.sampled_from(JITTER_ESTIMATORS),
+)
+def test_row_templates_leave_analyze_outputs_unchanged(trace, window, estimator):
+    built = []
+    row_templates = cli.row_templates
+
+    def counted(*key):
+        built.append(key)
+        return row_templates(*key)
+
+    options = ["--window", window, "--jitter-estimator", estimator]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "row_templates", counted):
+        work = Path(tmp)
+        (work / "T.csv").write_bytes(trace_to_csv_text(trace).encode())
+        with mock.patch.object(cli, "_REPORT_BLOCK", 1):  # no key repeats in a block
+            want = analyze_outputs(work / "T.csv", work, *options)
+        assert built == []
+        got = analyze_outputs(work / "T.csv", work, *options)
+    assert got == want
+    # every window is in one block: a template per key seen twice, built once
+    assert sorted(built, key=repr) == sorted(
+        (key for key, n in Counter(template_keys(got[1])).items() if n > 1), key=repr
+    )
+    summary = json.loads(got[1])["summary"]
+    total = 0.0
+    for row in json.loads(got[1])["windows"]:
+        total += row["mos_overall"]
+    assert summary["mean_mos"] == total / summary["window_count"]
+
+
+def test_template_key_cells_are_never_negative_zero(tmp_path):
+    # -0.0 == 0.0, so a key holding one would take the template rendered
+    # from the other.  No key cell can be -0.0: loss_pct is 100 * lost /
+    # expected, a MOS is at least 1, and an R is r0 - term with r0 > 0,
+    # which is +0.0 when the term equals r0.
+    assert {(0.0,): "0.0"}[(-0.0,)] == "0.0"
+    for r0 in (0.0, -0.0):
+        with pytest.raises(ValueError, match="r0 must be within"):
+            dataclasses.replace(G729, r0=r0)
+    # a profile whose loss and jitter terms both equal r0, at any input
+    profile = {
+        "name": "edge", "r0": 93.2, "loss": {"a": 93.2, "b": 0.0, "c": 10.0},
+        "jitter": {"c1": 0.0, "c2": 0.0, "c3": 93.2, "c4": 0.0},
+    }
+    (tmp_path / "edge.json").write_text(json.dumps(profile))
+    trace_csv = floored_partial_trace(tmp_path / "trace.csv")
+    options = ["--window", "0.04", "--profile", str(tmp_path / "edge.json")]
+    got = analyze_outputs(trace_csv, tmp_path, *options)
+    keys = template_keys(got[1])
+    assert max(Counter(keys).values()) > 1  # templates were built
+    cells = [cell for key in keys for cell in key if cell == 0.0]
+    assert cells and all(math.copysign(1.0, cell) == 1.0 for cell in cells)
+    assert b"-0.0" not in got[1]
+    with mock.patch.object(cli, "_REPORT_BLOCK", 1):
+        assert analyze_outputs(trace_csv, tmp_path, *options) == got
 
 
 # ---------------------------------------------------------------------------
@@ -1191,6 +1299,24 @@ def test_models_config_renormalization_warning_names_the_file(tmp_path, capsys):
     assert code == 0
     assert "zr [mos-5pt] loss=0.554 delay=0.248 jitter=0.198" in out.splitlines()
     assert err == f"warning: {config}: model 'zr': weights sum to 1.010000; renormalizing\n"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('"name": "neg", %s, "weights": [2.0, -1.0, 0.0]',
+         "model 'neg': weights must be nonnegative, got (2.0, -1.0, 0.0)"),
+        ('"name": "paper-5g-ahp", %s, "weights": [0.55, 0.25, 0.2]',
+         "model 'paper-5g-ahp' is already registered"),
+    ],
+    ids=["negative-weight", "preset-name"],
+)
+def test_models_config_error_names_file_and_model(tmp_path, capsys, entry, message):
+    config = tmp_path / "models.json"
+    config.write_text("{" + entry % '"criteria": ["loss", "delay", "jitter"]' + "}")
+    code, out, err = run(capsys, "models", "list", "--models-config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}: {message}\n"
 
 
 def test_commands_leave_no_state_behind(tmp_path, capsys):

@@ -124,6 +124,16 @@ def test_combine_criteria_mismatch():
         combine(get_model("video-network"), {"loss": 0.2, "delay": 0.1, "jitter": 0.3})
 
 
+def test_weight_sums_run_left_to_right():
+    # From Python 3.12 on, sum() compensates, and misses both values by an
+    # ulp; adding left to right from 0.0 gives them on every version.
+    assert score(QosSample(0.0, 60.0, 60.0), PAPER, G729) == 4.094175520901936
+    weights = (0.01, 0.29, 0.69)  # 0.99 left to right, 0.9899999999999999 by 3.12's sum()
+    with pytest.warns(UserWarning, match="renormalizing"):
+        model = make_model("x", weights, CRITERIA)
+    assert model.weights.values == tuple(w / 0.99 for w in weights)
+
+
 # ---------------------------------------------------------------------------
 # component scoring
 
