@@ -176,7 +176,9 @@ class WeightVector:
             raise ValueError("one weight per criterion required")
         if not all(v >= 0 for v in self.values):  # NaN fails too
             raise ValueError(f"weights must be nonnegative, got {self.values}")
-        total = sum(self.values)
+        total = 0.0
+        for v in self.values:  # left to right, as in combine and make_model
+            total += v
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"

@@ -54,6 +54,12 @@ class QosSample:
     jitter_ms: float | None
 
     def __post_init__(self) -> None:
+        # the valid case in one chain; NaN fails every comparison
+        delay, jitter = self.delay_ms, self.jitter_ms
+        if delay is not None and jitter is not None and (
+            0.0 <= delay < math.inf > jitter >= 0.0 <= self.loss_pct <= 100.0
+        ):
+            return
         if not 0.0 <= self.loss_pct <= 100.0:
             raise ValueError(f"loss_pct must be within [0, 100], got {self.loss_pct}")
         # NaN fails every comparison, so test for the valid range
@@ -188,14 +194,18 @@ def component_mos(
     delay, jitter = sample.delay_ms, sample.jitter_ms
     if delay is not None:
         delay = r0 - delay_impairment(delay)
-    if jitter is not None:
-        t_ms = profile.jitter_t_ms  # the buffer-floor max(t_ms, jitter_ms)
-        jitter = r0 - jitter_impairment(profile, jitter if jitter > t_ms else t_ms)
+    if jitter is None:
+        m_jitter = MOS_MIN
+    elif jitter > profile.jitter_t_ms:  # the buffer-floor max(t_ms, jitter_ms)
+        jitter = r0 - jitter_impairment(profile, jitter)
+        m_jitter = mos_from_r(jitter)
+    else:
+        jitter, m_jitter = profile.in_buffer_jitter
     r_factors = {"loss": loss, "delay": delay, "jitter": jitter}
     mos = {
         "loss": mos_from_r(loss),
         "delay": MOS_MIN if delay is None else mos_from_r(delay),
-        "jitter": MOS_MIN if jitter is None else mos_from_r(jitter),
+        "jitter": m_jitter,
     }
     return mos, r_factors
 

@@ -10,6 +10,7 @@ All functions here are pure and reentrant.  Codec constants live in a
 """
 from __future__ import annotations
 
+import functools
 import io
 import json
 import math
@@ -42,7 +43,11 @@ class CodecProfile:
     ``jitter_c1``..``jitter_c4`` the jitter polynomial, ``pareto_h`` the
     heavy-tail shape of the jitter distribution (valid range 0.55-0.9),
     ``jitter_t_ms`` the de-jitter buffer size and ``jitter_k`` the decay
-    constant of the buffer term.
+    constant of the buffer term.  Every term is a penalty (ITU-T G.107):
+    it grows with its impairment, and a larger buffer lowers the jitter
+    term.  So a negative ``loss_a``, ``loss_b`` or ``jitter_c4``, a
+    ``loss_c`` at or below 0 and a negative jitter baseline
+    ``jitter_c1*h**2 + jitter_c2*h + jitter_c3`` are rejected.
     """
 
     name: str
@@ -71,6 +76,27 @@ class CodecProfile:
             raise ValueError(f"jitter_t_ms must be >= 0, got {self.jitter_t_ms}")
         if self.jitter_k <= 0:
             raise ValueError(f"jitter_k must be > 0, got {self.jitter_k}")
+        for name in ("loss_a", "loss_b", "jitter_c4"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+        if self.loss_c <= 0:
+            raise ValueError(f"loss_c must be > 0, got {self.loss_c}")
+        h = self.pareto_h
+        base = self.jitter_c1 * h * h + self.jitter_c2 * h + self.jitter_c3
+        if base < 0:
+            raise ValueError(
+                f"jitter_c1*pareto_h**2 + jitter_c2*pareto_h + jitter_c3 must be "
+                f">= 0, got {base}"
+            )
+
+    @functools.cached_property
+    def in_buffer_jitter(self) -> tuple[float, float]:
+        """The jitter R and MOS of any jitter within the ``jitter_t_ms``
+        buffer, ``r0 - jitter_impairment(self)`` and its MOS, computed once
+        per profile."""
+        r = self.r0 - jitter_impairment(self)
+        return r, mos_from_r(r)
 
 
 #: Built-in narrowband G.729 profile, the library default.
@@ -219,12 +245,13 @@ def profile_from_dict(data: dict) -> CodecProfile:
         raise ValueError(f"profile is missing required field {exc}") from exc
     profile = CodecProfile(name, **{f: json_number(v, f) for f, v in fields.items()})
     # Finite coefficients can still overflow a term to a non-finite rating.
-    # The loss term is monotone in loss_pct and the jitter term in t_ms, so
-    # one that overflows anywhere does so at 100% loss (if the log is
-    # defined there) or at the jitter_t_ms buffer floor.
-    ends = {"jitter_c1 to jitter_c4": jitter_impairment(profile)}
-    if profile.loss_c > -1.0:
-        ends["loss_a, loss_b and loss_c"] = loss_impairment(100.0, profile)
+    # The loss term grows with loss_pct and the jitter term falls with t_ms,
+    # so one that overflows anywhere does so at 100% loss or at the
+    # jitter_t_ms buffer floor.
+    ends = {
+        "jitter_c1 to jitter_c4": jitter_impairment(profile),
+        "loss_a, loss_b and loss_c": loss_impairment(100.0, profile),
+    }
     for fields_named, value in ends.items():
         if not abs(value) < math.inf:  # NaN fails every comparison
             raise ValueError(f"{fields_named} give a non-finite impairment, got {value}")

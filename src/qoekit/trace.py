@@ -484,12 +484,26 @@ def _read_blocks(path: str | Path):
         fh.seek(start)
         done = 0
         while block := fh.read(_BLOCK_BYTES) + fh.readline():
-            lone_cr = block.count(b"\r") != block.count(b"\r\n")
-            if lone_cr or block.translate(None, _NUMERIC):
+            # a CR that ends the file is lone: the LF added below must not
+            # make it a CRLF
+            if block.translate(None, _NUMERIC) or block.endswith(b"\r"):
                 return None
             if not block.endswith(b"\n"):
                 block += b"\n"
-            text = block.replace(b",\n", b",nan\n").replace(b",\r\n", b",nan\r\n")
+            # One scan for LFs gives the rest: a line is CRLF when a CR comes
+            # just before its LF, any other CR is lone, and a comma just
+            # before a line's end leaves its recv_ts_ms empty.  A block starts
+            # a line and ends in an LF, so index -1, read for a first line
+            # that is empty, finds that LF and never a CR or a comma.
+            a = np.frombuffer(block, np.uint8)
+            ends = np.flatnonzero(a == ord("\n"))
+            crlf = a[ends - 1] == ord("\r")
+            if block.count(b"\r") != np.count_nonzero(crlf):  # a lone CR
+                return None
+            ends[crlf] -= 1  # each line's end: its CR, else its LF
+            at = ends[a[ends - 1] == ord(",")].tolist()
+            del a, ends, crlf  # not held through the parse
+            text = b"nan".join([block[i:j] for i, j in zip([0, *at], [*at, len(block)])])
             try:
                 rows = np.loadtxt(
                     io.BytesIO(text), _ROW, comments=None, delimiter=",",

@@ -429,6 +429,11 @@ def test_weight_vector_validation():
         WeightVector(("a", "b"), (1.2, -0.2))
     with pytest.raises(ValueError, match="nonnegative"):
         WeightVector(("a", "b"), (math.nan, 0.5))
+    # summed left to right, so the message reads the same on every Python
+    # (a compensated sum() gives 0.9899999999999999 from 3.12 on)
+    with pytest.raises(ValueError) as exc:
+        WeightVector(("a", "b", "c"), (0.01, 0.29, 0.69))
+    assert str(exc.value) == "weights must sum to 1 within 1e-09, got 0.99"
 
 
 # ---------------------------------------------------------------------------

@@ -681,17 +681,52 @@ def test_mos_rejects_profile_whose_terms_overflow(tmp_path, capsys, changes, fie
 
 
 def test_mos_accepts_profile_with_large_finite_terms(tmp_path, capsys):
-    # terms that stay finite at their far ends load and floor the MOS; a
-    # loss_c of -1 leaves the log undefined only at 100% loss
+    # terms that stay finite at their far ends load and floor the MOS
     doc = json.loads(Path(ZEROED_PROFILE).read_text())
     doc["name"] = "big"
-    doc["loss"].update(b=1e300, c=-1.0)
+    doc["loss"].update(b=1e300, c=1.0)
     doc["jitter"].update(c3=1.5e308, c4=1e308)
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "mos", "--loss", "50", "--delay", "0", "--profile", str(path))
     assert code == 0
-    assert {"mos_loss=4.500", "mos_jitter=1.000", "profile=big"} <= set(out.split())
+    assert {"mos_loss=1.000", "mos_jitter=1.000", "profile=big"} <= set(out.split())
+
+
+@pytest.mark.parametrize(
+    "block, changes, message",
+    [
+        # a loss_c of -1 once scored loss 50% at MOS 4.5 and failed at 100%
+        # with a bare "math domain error"
+        ("loss", {"c": -1.0}, "loss_c must be > 0, got -1.0"),
+        ("loss", {"c": 0.0}, "loss_c must be > 0, got 0.0"),
+        ("loss", {"b": -40.0}, "loss_b must be >= 0, got -40.0"),
+        ("loss", {"a": -1.0}, "loss_a must be >= 0, got -1.0"),
+        ("jitter", {"c4": -13.6}, "jitter_c4 must be >= 0, got -13.6"),
+        (
+            "jitter", {"c3": -1.0},
+            "jitter_c1*pareto_h**2 + jitter_c2*pareto_h + jitter_c3 must be >= 0, "
+            "got -1.0",
+        ),
+    ],
+    ids=["loss-c-negative", "loss-c-zero", "loss-b", "loss-a", "jitter-c4", "jitter-base"],
+)
+def test_mos_rejects_profile_that_would_not_penalize(
+    tmp_path, capsys, block, changes, message
+):
+    # every term is a penalty, so a profile where more loss or a smaller
+    # buffer could raise the score is named at load, with its file
+    doc = json.loads(Path(ZEROED_PROFILE).read_text())
+    doc[block].update(changes)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(doc))
+    for loss in ("50", "100"):
+        code, out, err = run(
+            capsys, "mos", "--loss", loss, "--delay", "0", "--profile", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
 
 
 def test_mos_profile_file_sets_jitter_h_and_t(tmp_path, capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_scoring as reference
@@ -29,7 +29,7 @@ from qoekit import (
     score,
 )
 from qoekit.composite import score_row
-from qoekit.emodel import DELAY_KNEE_MS
+from qoekit.emodel import DELAY_KNEE_MS, PARETO_H_MAX, PARETO_H_MIN
 from conftest import CRITERIA, REFERENCE_MATRIX
 
 ZEROED = CodecProfile(
@@ -159,17 +159,43 @@ def test_component_mos_monotone_in_loss():
     assert at10 < at0
 
 
+@st.composite
+def accepted_profiles(draw):
+    """A profile that ``CodecProfile`` accepts, drawn from coefficients of
+    either sign.  Each sign is drawn on its own, negative one time in five,
+    so that most drawn profiles are accepted and some rejected ones would
+    be caught if the rules let them through."""
+
+    def coefficient():
+        magnitude = draw(st.floats(0.0, 100.0))
+        return -magnitude if draw(st.integers(0, 4)) == 0 else magnitude
+
+    try:
+        return CodecProfile(
+            "drawn",
+            r0=draw(st.floats(1.0, 100.0)),
+            **{name: coefficient() for name in (
+                "loss_a", "loss_b", "loss_c",
+                "jitter_c1", "jitter_c2", "jitter_c3", "jitter_c4",
+            )},
+            pareto_h=draw(st.floats(PARETO_H_MIN, PARETO_H_MAX)),
+        )
+    except ValueError:
+        assume(False)
+
+
 @PROPERTY_SETTINGS
 @given(
     loss=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)).map(sorted),
     delay=st.tuples(st.floats(0.0, 1e4), st.floats(0.0, 1e4)).map(sorted),
     jitter=st.floats(0.0, 500.0),
+    profile=st.one_of(st.just(G729), accepted_profiles()),
 )
-def test_component_mos_non_increasing_in_loss_and_delay(loss, delay, jitter):
+def test_component_mos_non_increasing_in_loss_and_delay(loss, delay, jitter, profile):
     # jitter is left out on purpose: the buffer-floor mapping raises the
     # jitter component beyond the buffer (test_jitter_mapping_buffer_floor)
-    low, _ = component_mos(QosSample(loss[0], delay[0], jitter), G729)
-    high, _ = component_mos(QosSample(loss[1], delay[1], jitter), G729)
+    low, _ = component_mos(QosSample(loss[0], delay[0], jitter), profile)
+    high, _ = component_mos(QosSample(loss[1], delay[1], jitter), profile)
     assert high["loss"] <= low["loss"]
     assert high["delay"] <= low["delay"]
 
@@ -335,6 +361,21 @@ def test_jitter_term_matches_profile_with_raised_buffer(profile, offset):
     assert jitter_impairment(profile, jitter) == jitter_impairment(
         replace(profile, jitter_t_ms=jitter)
     )
+
+
+def test_in_buffer_jitter_constant_is_each_profiles_own():
+    # the constant is cached per profile instance: copies made after G.729's
+    # constant is cached score their own, as the reference recomputes it
+    g729_r, g729_mos = G729.in_buffer_jitter
+    assert g729_r == G729.r0 - jitter_impairment(G729)
+    for profile in (replace(G729, jitter_t_ms=10.0), replace(CUSTOM_JITTER, name="copy")):
+        for jitter in (0.0, profile.jitter_t_ms):
+            sample = QosSample(1.0, 50.0, jitter)
+            got = score_row(sample, PAPER, profile)
+            assert repr(got) == repr(reference.score_row(sample, PAPER, profile))
+            assert (got[1]["jitter"], got[0]["jitter"]) == profile.in_buffer_jitter
+            assert got[1]["jitter"] != g729_r and got[0]["jitter"] != g729_mos
+    assert G729.in_buffer_jitter == (g729_r, g729_mos)
 
 
 def around(point: float, spread: float):

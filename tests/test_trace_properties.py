@@ -15,6 +15,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -317,6 +318,25 @@ def test_bulk_reader_and_row_loop_agree_on_faulty_files(data, block_bytes):
     assert_same_outcome(bulk, by_rows)
     if fault in ("cell", "columns"):
         assert bulk[0] == "error"
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "1,0.0,80.0\r\n2,20.0,\r3,40.0,120.0\r\n",  # a lone CR ends a row
+        "1,0.0,80.0\n2,20.0\r,100.0\n",  # a lone CR splits a row
+        "1,0.0,80.0\r\n2,20.0,100.0\r",  # the file ends in a lone CR
+    ],
+    ids=["row-end", "in-row", "file-end"],
+)
+def test_bulk_reader_sends_lone_cr_to_row_loop_before_numpy(rows):
+    # the bulk reader's own check refuses a lone CR; numpy, which may
+    # refuse one too, is never asked
+    text = ",".join(trace_module.TRACE_HEADER) + "\r\n" + rows
+    with mock.patch.object(np, "loadtxt", side_effect=AssertionError("loadtxt called")):
+        bulk, by_rows, in_bulk = read_both(text, trace_module._BLOCK_BYTES)
+    assert not in_bulk
+    assert_same_outcome(bulk, by_rows)
 
 
 @st.composite
