@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emodel import json_number, json_string, read_json
+from .emodel import json_number, json_string, names_file, read_json
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -98,10 +98,6 @@ class JudgmentSet:
             i, j = next(p for p in combinations(range(n), 2) if p not in seen)
             raise ValueError(f"missing judgment for pair {criteria[i]!r}/{criteria[j]!r}")
 
-    def matrix(self) -> "PairwiseMatrix":
-        """Expand to a full reciprocal comparison matrix."""
-        return PairwiseMatrix(self.criteria, _reciprocal_stack([self], self.criteria)[0])
-
 
 def _reciprocal_stack(sets: list[JudgmentSet], criteria: tuple[str, ...]) -> np.ndarray:
     """The sets' reciprocal matrices, each over exactly ``criteria``, as one
@@ -151,14 +147,6 @@ class PairwiseMatrix:
             raise ValueError("matrix diagonal must be exactly 1")
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-
-    def cell(self, a: str, b: str) -> float:
-        return float(self.cells[self.criteria.index(a), self.criteria.index(b)])
-
-    def permuted(self, order: tuple[str, ...]) -> "PairwiseMatrix":
-        """Reindex rows and columns to the given criteria order."""
-        idx = [self.criteria.index(c) for c in order]
-        return PairwiseMatrix(tuple(order), self.cells[np.ix_(idx, idx)])
 
 
 @dataclass(frozen=True)
@@ -288,6 +276,7 @@ def consistency(matrix: PairwiseMatrix) -> ConsistencyReport:
 # ---------------------------------------------------------------------------
 # File formats: judgment sets as JSON, criteria tables as CSV.
 
+@names_file
 def read_judgments(path: str | Path, data: bytes | None = None) -> JudgmentSet:
     """Read a judgment set from its JSON layout, in the file at ``path`` or
     in ``data``, that file's bytes as a caller read them; every error names
@@ -313,9 +302,7 @@ def read_judgments(path: str | Path, data: bytes | None = None) -> JudgmentSet:
             judgments=judgments,
         )
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed judgment document: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"malformed judgment document: {exc}") from exc
 
 
 def judgments_to_dict(js: JudgmentSet) -> dict:
@@ -328,33 +315,33 @@ def judgments_to_dict(js: JudgmentSet) -> dict:
     }
 
 
+@names_file
 def read_matrix_csv(path: str | Path) -> PairwiseMatrix:
     """Read a comparison matrix from CSV: header row of criteria, one
-    labeled row per criterion."""
+    labeled row per criterion; every error names the file."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:
-        raise ValueError(f"{path}: matrix CSV needs a header and data rows")
+        raise ValueError("matrix CSV needs a header and data rows")
     criteria = tuple(c.strip() for c in rows[0][1:])
     n = len(criteria)
     cells = np.ones((n, n))
     if len(rows) - 1 != n:
-        raise ValueError(f"{path}: expected {n} data rows, got {len(rows) - 1}")
+        raise ValueError(f"expected {n} data rows, got {len(rows) - 1}")
     for i, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
-            raise ValueError(f"{path}: line {i}: expected {n + 1} columns")
+            raise ValueError(f"line {i}: expected {n + 1} columns")
         label = row[0].strip()
         if label != criteria[i - 2]:
             raise ValueError(
-                f"{path}: line {i}: row label {label!r} does not match "
-                f"column order {criteria}"
+                f"line {i}: row label {label!r} does not match column order {criteria}"
             )
         for j, text in enumerate(row[1:]):
             try:
                 cells[i - 2, j] = float(text)
             except ValueError as exc:
-                raise ValueError(f"{path}: line {i}: bad cell {text!r}") from exc
+                raise ValueError(f"line {i}: bad cell {text!r}") from exc
     return PairwiseMatrix(criteria, cells)
 
 

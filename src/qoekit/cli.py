@@ -114,41 +114,8 @@ def parse_scale_entry(text: str) -> float:
     return float(value)
 
 
-class _AnswerSource:
-    """Uniform prompt/answer stream over an answers file or the terminal."""
-
-    def __init__(self, answers_path: str | None) -> None:
-        self.scripted = answers_path is not None
-        self._lines: list[str] = []
-        if answers_path is not None:
-            raw = Path(answers_path).read_text(encoding="utf-8").splitlines()
-            self._lines = [
-                ln.strip() for ln in raw if ln.strip() and not ln.lstrip().startswith("#")
-            ]
-        self._pos = 0
-
-    def ask(self, prompt: str, allow_empty: bool = False) -> str | None:
-        """Next answer, or None when an optional prompt has no more input."""
-        if self.scripted:
-            if self._pos >= len(self._lines):
-                if allow_empty:
-                    return None
-                raise ValueError("answers file ended before all pairs were judged")
-            line = self._lines[self._pos]
-            self._pos += 1
-            print(f"{prompt}{line}")
-            return line
-        try:
-            reply = input(prompt)
-        except EOFError:
-            if allow_empty:
-                return None
-            raise ValueError("input ended before all pairs were judged") from None
-        return reply.strip() or (None if allow_empty else reply.strip())
-
-
 def _echo_judgment_summary(js: ahp.JudgmentSet) -> ahp.ConsistencyReport:
-    matrix = js.matrix()
+    matrix = ahp.aggregate_judgments([js])  # the set's own reciprocal matrix
     _print_table(["Importance", *matrix.criteria], matrix.cells.tolist())
     weights, _ = ahp.column_average_weights(matrix)
     report = ahp.consistency(matrix)
@@ -162,23 +129,43 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
         raise ValueError("at least 2 criteria are required")
     if len(set(criteria)) != len(criteria):
         raise ValueError("criteria must be unique")
-    if args.answers is None and not sys.stdin.isatty():
+    scripted = args.answers is not None
+    if scripted:
+        read = emodel.names_file(Path.read_text)  # an error names the file
+        lines = read(Path(args.answers), "utf-8").splitlines()
+        answers = (a for a in map(str.strip, lines) if a and not a.startswith("#"))
+    elif not sys.stdin.isatty():
         raise ValueError(
             "stdin is not a terminal; use --answers FILE for scripted sessions"
         )
-    source = _AnswerSource(args.answers)
+
+    def ask(prompt: str, allow_empty: bool = False) -> str | None:
+        """The next answer, echoed when scripted; None when an optional
+        prompt has no more input or an empty reply."""
+        if scripted:
+            if (reply := next(answers, None)) is not None:
+                print(f"{prompt}{reply}")
+        else:
+            try:
+                reply = input(prompt).strip() or (None if allow_empty else "")
+            except EOFError:
+                reply = None
+        if reply is None and not allow_empty:
+            source = "answers file" if scripted else "input"
+            raise ValueError(f"{source} ended before all pairs were judged")
+        return reply
 
     judgments: dict[tuple[str, str], float] = {}
     for a, b in combinations(criteria, 2):
         prompt = f"importance of {a} vs {b} [1..9 or 1/k]: "
         while True:
-            reply = source.ask(prompt)
+            reply = ask(prompt)
             try:
                 judgments[(a, b)] = parse_scale_entry(reply)
                 break
             except ValueError as exc:
                 print(f"  {exc}")
-                if source.scripted:
+                if scripted:
                     # A scripted session cannot recover interactively.
                     raise
 
@@ -190,7 +177,7 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
             f"consistency ratio {report.consistency_ratio:.{DISPLAY_DP}f} exceeds "
             f"{ahp.CR_THRESHOLD}; you may revise a pair before saving"
         )
-        reply = source.ask(
+        reply = ask(
             "revise [criterion criterion value], or press Enter to save: ",
             allow_empty=True,
         )
@@ -208,7 +195,7 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
                 raise ValueError(f"unknown pair {a!r}/{b!r}")
         except ValueError as exc:
             print(f"  {exc}")
-            if source.scripted:
+            if scripted:
                 raise
             continue
         js = ahp.JudgmentSet(args.evaluator_id, criteria, judgments)
@@ -388,28 +375,12 @@ REPORT_CSV_COLUMNS = (
 
 #: One window of the ``--out`` report as ``json_text`` indents it inside
 #: the "windows" list, with a ``%s`` for each value.
-REPORT_ROW = """    {
-      "window_id": %s,
-      "start_ms": %s,
-      "end_ms": %s,
-      "expected": %s,
-      "received": %s,
-      "lost": %s,
-      "partial": %s,
-      "loss_pct": %s,
-      "delay_ms": %s,
-      "jitter_ms": %s,
-      "r_factors": {
-        "loss": %s,
-        "delay": %s,
-        "jitter": %s
-      },
-      "mos_loss": %s,
-      "mos_delay": %s,
-      "mos_jitter": %s,
-      "mos_overall": %s
-    }"""
-REPORT_ROW_WIDTH = REPORT_ROW.count("%s")
+REPORT_ROW = "    " + json_text({
+    **dict.fromkeys(["window_id", "start_ms", "end_ms", "expected", "received",
+                     "lost", "partial", "loss_pct", "delay_ms", "jitter_ms"], "%s"),
+    "r_factors": dict.fromkeys(["loss", "delay", "jitter"], "%s"),
+    **dict.fromkeys(["mos_loss", "mos_delay", "mos_jitter", "mos_overall"], "%s"),
+}).replace('"%s"', "%s").replace("\n", "\n    ")
 _DP = f"%.{DISPLAY_DP}f"
 #: One line of the ``trace analyze`` table, with a format per ``REPORT_CSV_COLUMNS``.
 TABLE_ROW = " ".join(["%d", _DP, "%s", "%s", _DP, _DP, _DP, _DP])

@@ -28,6 +28,7 @@ from .emodel import (
     json_string,
     loss_impairment,
     mos_from_r,
+    names_file,
     read_json,
 )
 
@@ -236,6 +237,7 @@ def score(
     return score_row(sample, model, profile)[0]["overall"]
 
 
+@names_file
 def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
     """A new dict of the presets plus the models of a JSON config, by name;
     of the presets alone when ``path`` is None.
@@ -254,26 +256,21 @@ def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
         data = [data]
     if not isinstance(data, list):
         raise ValueError(
-            f"{path}: {field} must be a model object or a list of them, "
-            f"got {type(data).__name__}"
+            f"{field} must be a model object or a list of them, got {type(data).__name__}"
         )
-    prefix = f"{path}: model field"
     for entry in data:
         try:
-            json_object(entry, f"{path}: model entry")
-            criteria = json_string(entry["criteria"], f"{prefix} criteria", many=True)
-            name, weights = json_string(entry["name"], f"{prefix} name"), entry["weights"]
+            json_object(entry, "model entry")
+            criteria = json_string(entry["criteria"], "model field criteria", many=True)
+            name, weights = json_string(entry["name"], "model field name"), entry["weights"]
             if name in models:
-                raise ValueError(f"{path}: model {name!r} is already registered")
-            scale = json_string(entry.get("scale", "mos-5pt"), f"{prefix} scale")
+                raise ValueError(f"model {name!r} is already registered")
+            scale = json_string(entry.get("scale", "mos-5pt"), "model field scale")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                try:
-                    models[name] = make_model(name, weights, criteria, scale)
-                except ValueError as exc:  # name the file, as the checks above do
-                    raise ValueError(f"{path}: {exc}") from exc
+                models[name] = make_model(name, weights, criteria, scale)
             for warning in caught:  # name the file, not a line of this module
                 warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: malformed model entry: {exc}") from exc
+            raise ValueError(f"malformed model entry: {exc}") from exc
     return models

@@ -188,10 +188,25 @@ def json_number(value, field: str, integer: bool = False) -> float | int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
+def names_file(read):
+    """Decorate an input reader ``read(path, ...)`` so that each ValueError
+    it raises, a bad UTF-8 byte's UnicodeDecodeError too, starts with the
+    file's ``path: ``: every reader names its file in one place."""
+
+    @functools.wraps(read)
+    def reader(path, *args):
+        try:
+            return read(path, *args)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+    return reader
+
+
 def read_json(path: str | Path, what: str, data: bytes | None = None):
     """The parsed JSON document of an input file, or of ``data``, the bytes
     a caller has read from it; a syntax error becomes a ValueError naming
-    the file and ``what`` it holds."""
+    ``what`` the file holds."""
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -201,7 +216,7 @@ def read_json(path: str | Path, what: str, data: bytes | None = None):
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid {what} JSON: {exc}") from exc
+            raise ValueError(f"invalid {what} JSON: {exc}") from exc
 
 
 def json_string(value, field: str, many: bool = False) -> str | tuple[str, ...]:
@@ -258,10 +273,7 @@ def profile_from_dict(data: dict) -> CodecProfile:
     return profile
 
 
+@names_file
 def load_profile(path: str | Path) -> CodecProfile:
     """Load a codec profile from a JSON file; an error names the file."""
-    data = read_json(path, "profile")
-    try:
-        return profile_from_dict(data)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    return profile_from_dict(read_json(path, "profile"))

@@ -24,7 +24,7 @@ import numpy as np
 from .composite import QosSample
 from .emodel import (
     PARETO_H_MAX, PARETO_H_MIN, check_finite, json_number, json_object, json_string,
-    read_json,
+    names_file, read_json,
 )
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
@@ -440,6 +440,7 @@ def trace_to_csv_text(trace: Trace) -> str:
     return "".join(parts)
 
 
+@names_file
 def read_trace(path: str | Path) -> Trace:
     """Read a CSV trace, naming the line of a malformed row; skip blank rows.
 
@@ -448,7 +449,7 @@ def read_trace(path: str | Path) -> Trace:
     the same trace or names the bad line.
     """
     columns, lines = _read_blocks(path) or _read_rows(path)
-    _check_columns(*columns, where=lambda i: f"{path}: line {lines[i]}: ")
+    _check_columns(*columns, where=lambda i: f"line {lines[i]}: ")
     return Trace(columns=columns)
 
 
@@ -527,9 +528,9 @@ def _read_rows(path: str | Path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ValueError(f"{path}: empty trace file")
+            raise ValueError("empty trace file")
         if tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(TRACE_HEADER)}")
+            raise ValueError(f"line 1: expected header {','.join(TRACE_HEADER)}")
         for n, row in enumerate(reader, start=2):
             try:
                 q, t, r = row
@@ -541,18 +542,18 @@ def _read_rows(path: str | Path):
                     blank.append(n)
                     continue
                 reason = exc if len(row) == 3 else "expected 3 columns"
-                raise ValueError(f"{path}: line {n}: {reason}") from exc
+                raise ValueError(f"line {n}: {reason}") from exc
             seq.append(q)
             send.append(t)
             recv.append(r)
     if not seq:
-        raise ValueError(f"{path}: trace contains no packets")
+        raise ValueError("trace contains no packets")
     lines = np.delete(np.arange(2, len(seq) + len(blank) + 2), np.array(blank, int) - 2)
     try:  # a None receive time becomes NaN
         columns = (np.array(seq, np.int64), np.array(send), np.array(recv, np.float64))
     except OverflowError:
         i = next(i for i, q in enumerate(seq) if not -(2**63) <= q < 2**63)
-        raise ValueError(f"{path}: line {lines[i]}: seq {seq[i]} is too large") from None
+        raise ValueError(f"line {lines[i]}: seq {seq[i]} is too large") from None
     return columns, lines
 
 
@@ -583,5 +584,6 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
     )
 
 
+@names_file
 def load_impairment_spec(path: str | Path) -> ImpairmentSpec:
     return spec_from_dict(read_json(path, "spec"))

@@ -10,7 +10,8 @@ a copy of ``tests/data`` and compares the bytes.
 
 The inputs are the seven judgment fixtures, the reference matrix, the
 generator specs of ``SPECS`` (one per jitter model), ``models.json`` (one
-custom model for ``--models-config``) and two traces:
+custom model for ``--models-config``), ``answers.txt`` (a scripted
+``ahp elicit`` session) and two traces:
 ``out/gen/trace.csv``, the ``trace gen`` case's output for ``spec.json``,
 and ``hand.csv``, built here with an outage, absent seqs, a backward send
 and a 5 s gap.
@@ -58,6 +59,12 @@ MODELS = [{"name": "jitter-first", "criteria": ["loss", "delay", "jitter"],
            "weights": [0.4, 0.2, 0.4]}]
 
 JUDGMENTS = [f"../judgments/e{k}.json" for k in range(1, 8)]
+
+#: ``answers.txt``: circular judgments (loss 9x delay, jitter 9x loss, delay
+#: 9x jitter), then one revision given in the reversed orientation.  It
+#: leaves the set inconsistent, so the session asks again, finds the file
+#: at its end and saves.
+ANSWERS = "# loss/delay, loss/jitter, delay/jitter\n9\n1/9\n9\n\njitter loss 1/9\n"
 
 
 def hand_rows():
@@ -127,6 +134,10 @@ CASES = [
         "--out-dir", "out/weights-matrix",
     ]),
     *mos_cases(),
+    ("elicit-revised", [
+        "ahp", "elicit", "--evaluator-id", "e-circular", "--answers", "answers.txt",
+        "--out", "out/elicit-revised/judgments.json",
+    ]),
 ]
 
 
@@ -151,6 +162,7 @@ def main() -> None:
     lines = ["seq,send_ts_ms,recv_ts_ms"]
     lines += [f"{q},{t!r},{'' if r is None else repr(r)}" for q, t, r in hand_rows()]
     Path("hand.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path("answers.txt").write_text(ANSWERS, encoding="utf-8")
     shutil.rmtree("out", ignore_errors=True)
     for name, argv in CASES:
         run_case(name, argv)

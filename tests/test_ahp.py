@@ -80,8 +80,9 @@ def judgment_sets(draw, min_criteria=1):
 
 
 def loop_matrix(js):
-    """``JudgmentSet.matrix`` as it was before the scatter: one dict lookup
-    per cell, the reference for the scatter property."""
+    """A judgment set's reciprocal matrix as it was built before the
+    scatter: one dict lookup per cell, the reference for the scatter
+    property."""
     n = len(js.criteria)
     cells = np.ones((n, n))
     for i, a in enumerate(js.criteria):
@@ -98,7 +99,11 @@ def loop_aggregate(sets, method):
     each set's matrix permuted to the first set's order, stacked, then
     averaged."""
     criteria = sets[0].criteria
-    arr = np.stack([loop_matrix(js).permuted(criteria).cells for js in sets])
+    def permuted(js):  # rows and columns in the first set's order
+        idx = [js.criteria.index(c) for c in criteria]
+        return loop_matrix(js).cells[np.ix_(idx, idx)]
+
+    arr = np.stack([permuted(js) for js in sets])
     if method == "arithmetic-mean":
         cells = arr.mean(axis=0)
     else:
@@ -113,19 +118,19 @@ def loop_aggregate(sets, method):
 def test_single_evaluator_identity():
     js = two_criteria_set("e1", 5.0)
     m = aggregate_judgments([js])
-    assert m.cell("loss", "delay") == 5.0
-    assert m.cell("delay", "loss") == pytest.approx(0.2, abs=1e-15)
-    assert np.array_equal(m.cells, js.matrix().cells)
+    assert m.cells[0, 1] == 5.0  # criteria (loss, delay): loss vs delay
+    assert m.cells[1, 0] == pytest.approx(0.2, abs=1e-15)
+    assert np.array_equal(m.cells, loop_matrix(js).cells)
 
 
 def test_two_evaluators_arithmetic_mean():
     m = aggregate_judgments(
         [two_criteria_set("e1", 9.0), two_criteria_set("e2", 1 / 3)]
     )
-    assert m.cell("loss", "delay") == pytest.approx((9 + 1 / 3) / 2, abs=1e-12)
-    assert m.cell("delay", "loss") == pytest.approx((1 / 9 + 3) / 2, abs=1e-12)
+    assert m.cells[0, 1] == pytest.approx((9 + 1 / 3) / 2, abs=1e-12)
+    assert m.cells[1, 0] == pytest.approx((1 / 9 + 3) / 2, abs=1e-12)
     # arithmetic aggregation does not preserve reciprocity
-    assert m.cell("loss", "delay") * m.cell("delay", "loss") != pytest.approx(1.0)
+    assert m.cells[0, 1] * m.cells[1, 0] != pytest.approx(1.0)
 
 
 def test_two_evaluators_geometric_mean():
@@ -133,8 +138,8 @@ def test_two_evaluators_geometric_mean():
         [two_criteria_set("e1", 9.0), two_criteria_set("e2", 1 / 3)],
         method="geometric-mean",
     )
-    assert m.cell("loss", "delay") == pytest.approx(math.sqrt(3), abs=1e-12)
-    assert m.cell("delay", "loss") == pytest.approx(1 / math.sqrt(3), abs=1e-12)
+    assert m.cells[0, 1] == pytest.approx(math.sqrt(3), abs=1e-12)
+    assert m.cells[1, 0] == pytest.approx(1 / math.sqrt(3), abs=1e-12)
 
 
 @PROPERTY_SETTINGS
@@ -148,7 +153,7 @@ def test_geometric_mean_preserves_reciprocity(sets):
 @given(sets=judgment_sets())
 def test_scatter_matches_the_loop_bit_for_bit(sets):
     for js in sets:
-        assert np.array_equal(js.matrix().cells, loop_matrix(js).cells)
+        assert np.array_equal(aggregate_judgments([js]).cells, loop_matrix(js).cells)
     for method in AGGREGATION_METHODS:
         got = aggregate_judgments(sets, method).cells
         assert np.array_equal(got, loop_aggregate(sets, method))
@@ -160,7 +165,9 @@ def test_lambda_max_of_reciprocal_matrices_is_at_least_n(sets):
     # Saaty: lambda_max >= n for a positive reciprocal matrix, with equality
     # only when its judgments are consistent
     n = len(sets[0].criteria)
-    for m in [js.matrix() for js in sets] + [aggregate_judgments(sets, "geometric-mean")]:
+    for m in [aggregate_judgments([js]) for js in sets] + [
+        aggregate_judgments(sets, "geometric-mean")
+    ]:
         assert consistency(m).lambda_max >= n * (1.0 - LAMBDA_TOL)
 
 
@@ -169,7 +176,7 @@ def test_aggregate_respects_first_criteria_order():
     b = JudgmentSet("e2", ("delay", "loss"), {("delay", "loss"): 0.25})
     m = aggregate_judgments([a, b])
     assert m.criteria == ("loss", "delay")
-    assert m.cell("loss", "delay") == pytest.approx(4.0)
+    assert m.cells[0, 1] == pytest.approx(4.0)  # loss vs delay
 
 
 def test_aggregate_errors():
@@ -414,7 +421,8 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(7)
     m = random_positive_matrix(rng, 4)
     perm = ("c2", "c0", "c3", "c1")
-    pm = m.permuted(perm)
+    idx = [m.criteria.index(c) for c in perm]
+    pm = PairwiseMatrix(perm, m.cells[np.ix_(idx, idx)])
     for derive in (lambda x: column_average_weights(x)[0], eigenvector_weights):
         base = derive(m).as_dict()
         permuted = derive(pm).as_dict()

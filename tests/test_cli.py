@@ -231,6 +231,75 @@ def test_elicit_requires_terminal_or_answers(tmp_path, capsys, monkeypatch):
     assert "--answers" in err
 
 
+def test_elicit_answers_file_ending_early_writes_nothing(tmp_path, capsys):
+    answers = tmp_path / "answers.txt"
+    answers.write_text("9\n# the last pair is never answered\n1/9\n")
+    out_file = tmp_path / "judgments.json"
+    code, _, err = run(
+        capsys,
+        "ahp", "elicit",
+        "--evaluator-id", "e1",
+        "--out", str(out_file),
+        "--answers", str(answers),
+    )
+    assert code == 2
+    assert err == "error: answers file ended before all pairs were judged\n"
+    assert not out_file.exists()
+
+
+def test_elicit_interactive_eof_before_last_pair(tmp_path, capsys, monkeypatch):
+    import sys
+
+    replies = iter(["9", "1/9"])
+
+    def answer(prompt):
+        for reply in replies:
+            return reply
+        raise EOFError  # as input() does at the end of stdin
+
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr("builtins.input", answer)
+    out_file = tmp_path / "judgments.json"
+    code, _, err = run(
+        capsys, "ahp", "elicit", "--evaluator-id", "e1", "--out", str(out_file)
+    )
+    assert code == 2
+    assert err == "error: input ended before all pairs were judged\n"
+    assert not out_file.exists()
+
+
+def test_elicit_interactive_off_scale_answer_asks_the_pair_again(
+    tmp_path, capsys, monkeypatch
+):
+    import sys
+
+    replies = iter(["17", "2", "4", "2"])
+    prompts = []
+
+    def answer(prompt):
+        prompts.append(prompt)
+        return next(replies)
+
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr("builtins.input", answer)
+    out_file = tmp_path / "judgments.json"
+    code, out, err = run(
+        capsys, "ahp", "elicit", "--evaluator-id", "e1", "--out", str(out_file)
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == (
+        "  '17' is not on the 1-9 scale (use 1..9 or reciprocals like 1/3)"
+    )
+    loss_vs_delay = "importance of loss vs delay [1..9 or 1/k]: "
+    assert prompts[:2] == [loss_vs_delay, loss_vs_delay]
+    assert len(prompts) == 4
+    values = {
+        (j["a"], j["b"]): j["value"]
+        for j in json.loads(out_file.read_text())["judgments"]
+    }
+    assert values == {("loss", "delay"): 2.0, ("loss", "jitter"): 4.0, ("delay", "jitter"): 2.0}
+
+
 def test_parse_scale_entry():
     assert parse_scale_entry("7") == 7.0
     assert parse_scale_entry("1/4") == 0.25
@@ -530,8 +599,9 @@ def test_exit_codes_documented():
             "1.7e308",
             "must be at most 5.99231e+307 (the largest float over 3), got 1.7e+308",
         ),
+        ("0", "must be finite and positive, got 0.0"),
     ],
-    ids=["inf", "nan", "overflow"],
+    ids=["inf", "nan", "overflow", "zero"],
 )
 def test_weights_rejects_non_finite_matrix_cell(tmp_path, capsys, cell, message):
     path = tmp_path / "matrix.csv"
@@ -539,7 +609,7 @@ def test_weights_rejects_non_finite_matrix_cell(tmp_path, capsys, cell, message)
     code, out, err = run(capsys, "ahp", "weights", "--matrix", str(path))
     assert code == 2
     assert out == ""
-    assert f"matrix cell (loss, delay) {message}" in err
+    assert err == f"error: {path}: matrix cell (loss, delay) {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -850,8 +920,11 @@ def test_trace_gen_rejects_out_of_range_shape(tmp_path, capsys):
         ({"jitter": "uniform"}, "spec field 'jitter' must be an object with a 'model'"),
         ({"jitter": {"amplitude_ms": 5}}, "spec field 'jitter' must be an object with a 'model'"),
         ({"duration_s": None}, "spec is missing required field 'duration_s'"),
+        ({"rng_seed": None}, "spec is missing required field 'rng_seed'"),
+        ({"loss_prob": 2}, "loss_prob must be within [0, 1], got 2.0"),
     ],
-    ids=["jitter-string", "jitter-without-model", "missing-field"],
+    ids=["jitter-string", "jitter-without-model", "missing-field", "missing-seed",
+         "loss-prob-2"],
 )
 def test_trace_gen_rejects_malformed_spec(tmp_path, capsys, overrides, message):
     spec = Path(write_spec(tmp_path, **overrides))
@@ -861,7 +934,7 @@ def test_trace_gen_rejects_malformed_spec(tmp_path, capsys, overrides, message):
     code, stdout, err = run(capsys, "trace", "gen", str(spec), "--out", str(out))
     assert code == 2
     assert stdout == ""
-    assert err == f"error: {message}\n"
+    assert err == f"error: {spec}: {message}\n"
     assert not out.exists()
 
 
@@ -1068,8 +1141,12 @@ def test_trace_analyze_table_and_csv_cells(tmp_path, capsys):
     assert csv_lines[3].startswith("2,80.000,103.400,,")
 
 
+#: The values one REPORT_ROW takes, one per ``%s``.
+ROW_WIDTH = cli.REPORT_ROW.count("%s")
+
+
 def test_report_row_template_rejects_nan():
-    values = [0] * cli.REPORT_ROW_WIDTH
+    values = [0] * ROW_WIDTH
     text = cli.report_text({"windows": []}, [cli.report_rows([cli.REPORT_ROW], values)])
     assert cli.json_text(json.loads(text)) + "\n" == text
     values[-1] = float("nan")
@@ -1102,10 +1179,10 @@ def test_report_blocks_equal_json_text(n_rows):
     # rendered as cmd_trace_analyze renders them: _REPORT_BLOCK rows a block
     payload = {"model": "m", "windows": [], "summary": {"window_count": n_rows}}
     rows = [report_row(i) for i in range(n_rows)]
-    step = cli.REPORT_ROW_WIDTH * cli._REPORT_BLOCK
+    step = ROW_WIDTH * cli._REPORT_BLOCK
     values = [value for _, row_values in rows for value in row_values]
     blocks = [
-        cli.report_rows([cli.REPORT_ROW] * (len(chunk) // cli.REPORT_ROW_WIDTH), chunk)
+        cli.report_rows([cli.REPORT_ROW] * (len(chunk) // ROW_WIDTH), chunk)
         for chunk in (values[i : i + step] for i in range(0, len(values), step))
     ]
     expected = cli.json_text({**payload, "windows": [row for row, _ in rows]}) + "\n"
@@ -1113,7 +1190,7 @@ def test_report_blocks_equal_json_text(n_rows):
     last = values[(len(values) - 1) // step * step :]
     last[-1] = float("nan")
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli.report_rows([cli.REPORT_ROW] * (len(last) // cli.REPORT_ROW_WIDTH), last)
+        cli.report_rows([cli.REPORT_ROW] * (len(last) // ROW_WIDTH), last)
 
 
 @pytest.mark.parametrize("chunk", [4, 5, 6, 1 << 20])
@@ -1352,6 +1429,56 @@ def test_models_config_error_names_file_and_model(tmp_path, capsys, entry, messa
     code, out, err = run(capsys, "models", "list", "--models-config", str(config))
     assert (code, out) == (2, "")
     assert err == f"error: {config}: {message}\n"
+
+
+def input_argv(directory, kind, data):
+    """The file of input ``kind`` holding ``data`` in a new ``directory``,
+    and a command that reads it and writes ``directory/out`` if it can."""
+    directory.mkdir()
+    path = directory / f"{kind}.input"
+    path.write_bytes(data)
+    out = str(directory / "out")
+    return str(path), {
+        "profile": ["mos", "--loss", "1", "--delay", "100", "--profile", str(path)],
+        "models-config": ["models", "list", "--models-config", str(path)],
+        "judgments": ["ahp", "weights", str(path), "--out-dir", out],
+        "spec": ["trace", "gen", str(path), "--out", out],
+        "matrix": ["ahp", "weights", "--matrix", str(path), "--out-dir", out],
+        "trace": ["trace", "analyze", str(path), "--out", out],
+        "answers": ["ahp", "elicit", "--evaluator-id", "e1", "--answers", str(path),
+                    "--out", out],
+    }[kind]
+
+
+VALID_INPUTS = {
+    "profile": Path(ZEROED_PROFILE).read_bytes(),
+    "models-config": (
+        b'{"name": "zc", "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2]}'
+    ),
+    "judgments": Path(JUDGMENT_FILES[0]).read_bytes(),
+    "spec": json.dumps({
+        "loss_prob": 0.0, "base_delay_ms": 100.0, "duration_s": 1.0,
+        "packet_interval_ms": 20.0, "rng_seed": 1,
+    }).encode(),
+    "matrix": Path(MATRIX_CSV).read_bytes(),
+    "trace": b"seq,send_ts_ms,recv_ts_ms\n1,0.0,80.0\n2,20.0,101.5\n3,40.0,\n",
+    "answers": b"2\n4\n2\n",
+}
+
+
+@pytest.mark.parametrize("kind", VALID_INPUTS)
+def test_a_bad_utf8_byte_names_its_file(tmp_path, capsys, kind):
+    data = VALID_INPUTS[kind]
+    assert run(capsys, *input_argv(tmp_path / "valid", kind, data)[1])[0] == 0
+    at = data.index(b"\n") + 1 if b"\n" in data else len(data) // 2  # past the start
+    path, argv = input_argv(tmp_path / "bad", kind, data[:at] + b"\xff" + data[at:])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == (
+        f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {at}: "
+        "invalid start byte\n"
+    )
+    assert not (tmp_path / "bad" / "out").exists()
 
 
 def test_commands_leave_no_state_behind(tmp_path, capsys):
