@@ -35,6 +35,7 @@ EXIT_IO = 3
 
 DISPLAY_DP = 3
 TABLE_DP = 2
+G729_NAMES = ("g729", "g.729")  # --profile values for the built-in; others are files
 
 
 def sha256_file(path: str | Path) -> str:
@@ -86,9 +87,22 @@ def stamp(
     }
 
 
+def check_outputs(inputs: list[tuple], outputs: list[tuple]) -> None:
+    """Raise when an output names the same file as an input or an earlier one."""
+    def file_id(path):  # (inode, device) of a file that exists, else its absolute path
+        try:
+            return os.stat(path)[1:3]
+        except OSError:
+            return os.path.abspath(path)
+    named = {file_id(p): name for name, p in inputs if p}
+    for name, path in outputs:
+        if path and (other := named.setdefault(file_id(path), name)) != name:
+            raise ValueError(f"{name} names the same file as {other}: {path}")
+
+
 def resolve_profile(ident: str) -> emodel.CodecProfile:
     """Resolve a --profile value: the built-in G.729, or a profile JSON path."""
-    if ident.lower() in ("g729", "g.729"):
+    if ident.lower() in G729_NAMES:
         return emodel.G729
     if Path(ident).exists():
         return emodel.load_profile(ident)
@@ -129,6 +143,7 @@ def cmd_ahp_elicit(args: argparse.Namespace) -> int:
         raise ValueError("at least 2 criteria are required")
     if len(set(criteria)) != len(criteria):
         raise ValueError("criteria must be unique")
+    check_outputs([("--answers", args.answers)], [("--out", args.out)])
     scripted = args.answers is not None
     if scripted:
         read = emodel.names_file(Path.read_text)  # an error names the file
@@ -237,6 +252,9 @@ def print_weights_and_consistency(
 
 
 def cmd_ahp_weights(args: argparse.Namespace) -> int:
+    outputs = ("weights.json", "matrix.csv", "weights.csv") if args.out_dir else ()
+    inputs = [("--matrix", args.matrix), *(("a judgment file", p) for p in args.judgments)]
+    check_outputs(inputs, [("--out-dir", Path(args.out_dir, name)) for name in outputs])
     if args.matrix and args.judgments:
         raise ValueError("give either judgment files or --matrix, not both")
     if args.matrix:
@@ -302,19 +320,10 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
 # mos
 
 def _format_mos_line(payload: dict) -> str:
-    mos = payload["mos"]
-    r = payload["r_factors"]
-    parts = [f"mos_overall={mos['overall']:.{DISPLAY_DP}f}"]
-    parts += [
-        f"mos_{c}={mos[c]:.{DISPLAY_DP}f}" for c in ("loss", "delay", "jitter")
-    ]
-    parts += [
-        f"r_{c}=" + ("n/a" if r[c] is None else f"{r[c]:.{DISPLAY_DP}f}")
-        for c in ("loss", "delay", "jitter")
-    ]
-    parts.append(f"model={payload['model']}")
-    parts.append(f"profile={payload['profile']}")
-    return " ".join(parts)
+    mos, r, dp = payload["mos"], payload["r_factors"], DISPLAY_DP
+    parts = [f"mos_{c}={mos[c]:.{dp}f}" for c in ("overall", "loss", "delay", "jitter")]
+    parts += [f"r_{c}=" + ("n/a" if r[c] is None else f"{r[c]:.{dp}f}") for c in r]
+    return " ".join([*parts, f"model={payload['model']}", f"profile={payload['profile']}"])
 
 
 def _scoring_options(args: argparse.Namespace):
@@ -345,6 +354,7 @@ def cmd_mos(args: argparse.Namespace) -> int:
 # trace gen / trace analyze
 
 def cmd_trace_gen(args: argparse.Namespace) -> int:
+    check_outputs([("the spec", args.spec)], [("--out", args.out)])
     spec = tracemod.load_impairment_spec(args.spec)
     trace = tracemod.generate(spec)
     out = Path(args.out)
@@ -424,6 +434,9 @@ def report_text(payload: dict, blocks: list[str]) -> str:
 
 
 def cmd_trace_analyze(args: argparse.Namespace) -> int:
+    files = [("the trace", args.trace), ("--models-config", args.models_config),
+             ("--profile", None if args.profile.lower() in G729_NAMES else args.profile)]
+    check_outputs(files, [("--out", args.out), ("--csv", args.csv)])
     model, profile = _scoring_options(args)
 
     out, dp = bool(args.out), _DP

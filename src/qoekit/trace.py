@@ -36,35 +36,11 @@ RFC3550_GAIN = 16.0
 
 @dataclass(frozen=True)
 class PacketRecord:
-    """One packet: sequence number, send time, receive time (None = lost)."""
+    """One packet: seq, send time, receive time (None = lost); unchecked."""
 
     seq: int
     send_ts_ms: float
     recv_ts_ms: float | None = None
-
-    def __post_init__(self) -> None:
-        _check_seqs([self.seq])
-        if self.seq < 0:
-            raise ValueError(f"seq must be nonnegative, got {self.seq}")
-        for name in TRACE_HEADER[1:]:  # the messages of _check_columns
-            value = getattr(self, name)
-            if not math.isfinite(value or 0.0):
-                raise ValueError(f"seq {self.seq}: {name} must be finite, got {value}")
-        if self.recv_ts_ms is not None and self.recv_ts_ms < self.send_ts_ms:
-            raise ValueError(
-                f"seq {self.seq}: recv_ts_ms {self.recv_ts_ms} precedes "
-                f"send_ts_ms {self.send_ts_ms}"
-            )
-
-    @property
-    def received(self) -> bool:
-        return self.recv_ts_ms is not None
-
-    @property
-    def delay_ms(self) -> float:
-        if self.recv_ts_ms is None:
-            raise ValueError(f"seq {self.seq} was lost; no delay")
-        return self.recv_ts_ms - self.send_ts_ms
 
 
 def _check_seqs(seqs) -> None:
@@ -100,6 +76,9 @@ class Trace:
 
     ``Trace(records)`` takes :class:`PacketRecord` objects, ``columns=(seq,
     send, recv)`` takes arrays, and :func:`_check_columns` checks either.
+    Of several faults, a seq that is not an integer is reported first, then
+    the first row that breaks the contract, then the first record whose
+    ``recv_ts_ms`` is NaN, which a column would read as a loss.
     """
 
     def __init__(
@@ -121,6 +100,8 @@ class Trace:
         if not len(seq):
             raise ValueError("trace must contain at least one packet")
         _check_columns(seq, send, recv)
+        if nan := [p.seq for p in packets if p.recv_ts_ms != p.recv_ts_ms]:  # records only
+            raise ValueError(f"seq {nan[0]}: recv_ts_ms must be finite, got nan")
         for column in (seq, send, recv):
             column.flags.writeable = False
         self.seq, self.send, self.recv = seq, send, recv
@@ -202,6 +183,11 @@ def window_metrics(
     lost; a window with no rows reports 100% loss.  The RFC 3550 recursion
     J += (|D| - J)/16 from J = 0 ends at J_m = sum_k g (1-g)^(m-k) |D_k|.
     """
+    if jitter_estimator not in JITTER_ESTIMATORS:
+        raise ValueError(
+            f"jitter_estimator must be one of {JITTER_ESTIMATORS}, "
+            f"got {jitter_estimator!r}"
+        )
     columns = (trace.seq, trace.send, trace.recv, window_of)
     if (window_of[1:] < window_of[:-1]).any():
         order = np.argsort(window_of, kind="stable")
@@ -309,11 +295,6 @@ def windows(
         raise ValueError(
             f"window_len_s must be > 0, finite in ms and give fewer than 2**63 "
             f"windows, got {window_len_s}"
-        )
-    if jitter_estimator not in JITTER_ESTIMATORS:
-        raise ValueError(
-            f"jitter_estimator must be one of {JITTER_ESTIMATORS}, "
-            f"got {jitter_estimator!r}"
         )
     window_of = ((trace.send - t0) // win_ms).astype(np.int64)
     try:  # the kernel's arrays have one cell per window

@@ -4,7 +4,7 @@ packet at a time.
 This is the per-packet implementation that ``qoekit.trace`` used before
 it held traces as numpy columns and drew its random numbers in blocks,
 kept only as an oracle for the property tests.  The metrics work on a
-tuple of ``PacketRecord`` (``Trace.packets``) and run the RFC 3550
+trace's :func:`rows`, one ``Packet`` per row, and run the RFC 3550
 recursion step by step; :func:`generate` makes its ``random.Random``
 draws one packet at a time.
 """
@@ -13,12 +13,35 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from qoekit.trace import Trace
 
 RFC3550_GAIN = 16.0
+
+
+class Packet(NamedTuple):
+    """One row of a trace; ``recv_ts_ms`` is None for a lost packet."""
+
+    seq: int
+    send_ts_ms: float
+    recv_ts_ms: float | None
+
+    @property
+    def received(self) -> bool:
+        return self.recv_ts_ms is not None
+
+    @property
+    def delay_ms(self) -> float:
+        return self.recv_ts_ms - self.send_ts_ms
+
+
+def rows(trace: Trace) -> list[Packet]:
+    """The trace's packets in seq order: the input of the metrics below."""
+    columns = zip(trace.seq.tolist(), trace.send.tolist(), trace.recv.tolist())
+    return [Packet(q, t, None if r != r else r) for q, t, r in columns]
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,7 @@ from qoekit import (
     score,
 )
 from qoekit.composite import PRESETS as _REGISTRY
-from qoekit.trace import ImpairmentSpec, PacketRecord, Trace
+from qoekit.trace import ImpairmentSpec, Trace
 from qoekit.cli import main
 from conftest import (
     CRITERIA,
@@ -292,15 +292,11 @@ def test_criterion_5_monotonicity_suite():
 
 def test_criterion_6_metrics_correctness():
     with reported("6 trace-metric correctness"):
-        packets = tuple(
-            PacketRecord(seq, 20.0 * i, 20.0 * i + 100.0)
-            for i, seq in enumerate((1, 2, 4, 5))
-        )
-        assert loss_rate(Trace(packets)) == 20.0
+        send = 20.0 * np.arange(4)
+        assert loss_rate(Trace(columns=([1, 2, 4, 5], send, send + 100.0))) == 20.0
 
-        constant = Trace(
-            tuple(PacketRecord(i + 1, 20.0 * i, 20.0 * i + 80.0) for i in range(50))
-        )
+        send = 20.0 * np.arange(50)
+        constant = Trace(columns=(np.arange(1, 51), send, send + 80.0))
         assert jitter_rfc3550(constant) == 0.0
 
         # closed form E|X - X'| = 2a/3 for uniform(+-a), cross-checked by a
@@ -322,7 +318,7 @@ def test_criterion_6_metrics_correctness():
                 jitter_amplitude_ms=amplitude,
             )
         )
-        assert len(trace.packets) == 100_000
+        assert len(trace.seq) == 100_000
         measured = jitter_mean_abs(trace)
         assert measured == pytest.approx(2 * amplitude / 3, rel=0.05)
 

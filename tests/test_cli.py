@@ -1057,6 +1057,67 @@ def test_trace_analyze_report_hash_tracks_input(tmp_path, capsys):
     assert report["inputs"][0]["sha256"] == sha256_file(trace_csv)
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["trace", "analyze", "T.csv", "--out", "X", "--csv", "X"],
+         "--csv names the same file as --out: X"),
+        (["trace", "analyze", "T.csv", "--out", "T.csv"],
+         "--out names the same file as the trace: T.csv"),
+        (["trace", "analyze", "T.csv", "--csv", "sub/../T.csv"],
+         "--csv names the same file as the trace: sub/../T.csv"),
+        (["trace", "analyze", "L.csv", "--out", "T.csv"],
+         "--out names the same file as the trace: T.csv"),
+        (["trace", "analyze", "T.csv", "--profile", "P.json", "--out", "./P.json"],
+         "--out names the same file as --profile: ./P.json"),
+        (["trace", "analyze", "T.csv", "--models-config", "M.json", "--csv", "M.json"],
+         "--csv names the same file as --models-config: M.json"),
+        (["trace", "gen", "spec.json", "--out", "spec.json"],
+         "--out names the same file as the spec: spec.json"),
+        (["ahp", "elicit", "--evaluator-id", "e1", "--answers", "A.txt", "--out", "A.txt"],
+         "--out names the same file as --answers: A.txt"),
+        (["ahp", "weights", "weights.json", "--out-dir", "."],
+         "--out-dir names the same file as a judgment file: weights.json"),
+        (["ahp", "weights", "--matrix", "matrix.csv", "--out-dir", "."],
+         "--out-dir names the same file as --matrix: matrix.csv"),
+    ],
+    ids=["out-csv", "out-trace", "csv-trace", "symlinked-trace", "out-profile",
+         "csv-models-config", "gen-spec", "elicit-answers", "out-dir-judgments",
+         "out-dir-matrix"],
+)
+def test_an_output_naming_an_input_or_another_output_is_refused(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # the command exits 2 before it reads or writes anything
+    monkeypatch.chdir(tmp_path)
+    inputs = {
+        "T.csv": "seq,send_ts_ms,recv_ts_ms\r\n1,0.0,80.0\r\n2,20.0,100.0\r\n",
+        "P.json": Path(ZEROED_PROFILE).read_text(),
+        "M.json": "[]",
+        "A.txt": "1\n1\n1\n",
+        "weights.json": Path(JUDGMENT_FILES[0]).read_text(),
+        "matrix.csv": Path(MATRIX_CSV).read_text(),
+    }
+    for name, text in inputs.items():
+        (tmp_path / name).write_bytes(text.encode())
+    inputs["spec.json"] = Path(write_spec(tmp_path)).read_text()
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "L.csv").symlink_to("T.csv")  # the trace under another name
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*inputs, "sub", "L.csv"])
+    for name, text in inputs.items():
+        assert (tmp_path / name).read_bytes() == text.encode()
+
+
+def test_an_output_named_like_the_built_in_profile_is_written(tmp_path, capsys, monkeypatch):
+    # --profile g729 names no file, so an output called g729 overwrites nothing
+    monkeypatch.chdir(tmp_path)
+    Path("T.csv").write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,80.0\n2,20.0,100.0\n")
+    code, _, err = run(capsys, "trace", "analyze", "T.csv", "--csv", "g729")
+    assert (code, err) == (0, "")
+    assert Path("g729").read_text().startswith("window_id,")
+
+
 def test_trace_analyze_rejects_overflowing_window(tmp_path, capsys):
     trace_csv = tmp_path / "trace.csv"
     trace_csv.write_text("seq,send_ts_ms,recv_ts_ms\n1,0,100\n2,20,121\n3,40,139\n")

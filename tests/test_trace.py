@@ -18,18 +18,21 @@ from qoekit import (
     windows,
 )
 from qoekit.trace import (
-    _mersenne_twister, _random_doubles, spec_from_dict, trace_to_csv_text,
+    _mersenne_twister, _random_doubles, spec_from_dict, trace_to_csv_text, window_metrics,
 )
 
 
 def make_trace(delays, interval_ms=20.0, start_seq=1):
     """Trace with one packet per delay; None marks a lost packet."""
-    packets = []
-    for i, delay in enumerate(delays):
-        send = i * interval_ms
-        recv = None if delay is None else send + delay
-        packets.append(PacketRecord(start_seq + i, send, recv))
-    return Trace(tuple(packets))
+    send = np.arange(len(delays)) * interval_ms
+    recv = send + np.array(delays, np.float64)  # a None delay becomes NaN
+    return Trace(columns=(np.arange(len(delays)) + start_seq, send, recv))
+
+
+def assert_same_packets(a, b):
+    """Equal columns, a NaN (lost) receive time matching a NaN."""
+    for x, y in zip((a.seq, a.send, a.recv), (b.seq, b.send, b.recv)):
+        np.testing.assert_array_equal(x, y)
 
 
 def uniform_spec(**overrides):
@@ -54,13 +57,9 @@ def test_loss_rate_basic():
 
 
 def test_loss_rate_counts_seq_gaps():
-    packets = (
-        PacketRecord(1, 0.0, 100.0),
-        PacketRecord(2, 20.0, 120.0),
-        PacketRecord(4, 60.0, 160.0),
-        PacketRecord(5, 80.0, 180.0),
-    )
-    assert loss_rate(Trace(packets)) == 20.0  # seq 3 is absent entirely
+    send = [0.0, 20.0, 60.0, 80.0]
+    trace = Trace(columns=([1, 2, 4, 5], send, [t + 100.0 for t in send]))
+    assert loss_rate(trace) == 20.0  # seq 3 is absent entirely
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +112,7 @@ def test_jitter_rfc3550_nonnegative():
 def test_jitter_rfc3550_invariant_to_recv_shift():
     delays = [100.0, 140.0, 90.0, 125.0, 101.0]
     base = make_trace(delays)
-    shifted = Trace(
-        PacketRecord(p.seq, p.send_ts_ms, p.recv_ts_ms + 5000.0) for p in base.packets
-    )
+    shifted = Trace(columns=(base.seq, base.send, base.recv + 5000.0))
     assert jitter_rfc3550(shifted) == jitter_rfc3550(base)
 
 
@@ -189,12 +186,8 @@ def test_windows_partitioning():
 
 def test_windows_start_at_earliest_send():
     # a row sent before the first row still falls in a window
-    packets = (
-        PacketRecord(1, 100.0, 110.0),
-        PacketRecord(2, 50.0, 60.0),
-        PacketRecord(3, 120.0, 130.0),
-    )
-    (win,) = windows(Trace(packets), 1.0)
+    trace = Trace(columns=([1, 2, 3], [100.0, 50.0, 120.0], [110.0, 60.0, 130.0]))
+    (win,) = windows(trace, 1.0)
     assert (win.start_ms, win.received_count, win.sample.loss_pct) == (50.0, 3, 0.0)
     # coverage ends at the latest send plus the upper median send delta, 190 ms
     assert win.partial
@@ -248,13 +241,26 @@ def test_windows_validation():
         windows(trace, 1.0, jitter_estimator="median")
 
 
+def test_unknown_jitter_estimator_is_refused():
+    # the kernel checks the name itself, rather than measuring mean-abs
+    trace = make_trace([80.0, 90.0, 80.0])
+    message = "jitter_estimator must be one of ('rfc3550', 'mean-abs'), got 'bogus'"
+    for call in (
+        lambda: windows(trace, 1.0, "bogus"),
+        lambda: window_metrics(trace, np.zeros(3, np.int64), "bogus"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # generator
 
 def test_generate_zero_impairment_round_trip():
     trace = generate(uniform_spec())
-    assert len(trace.packets) == 1500
-    assert all(p.received for p in trace.packets)
+    assert len(trace.seq) == 1500
+    assert not np.isnan(trace.recv).any()
     assert loss_rate(trace) == 0.0
     assert mean_delay(trace) == 100.0
     assert jitter_rfc3550(trace) == 0.0
@@ -266,7 +272,7 @@ def test_generate_zero_impairment_round_trip():
 
 def test_generate_total_loss():
     trace = generate(uniform_spec(loss_prob=1.0, duration_s=2.0))
-    assert all(not p.received for p in trace.packets)
+    assert np.isnan(trace.recv).all()
     assert loss_rate(trace) == 100.0
 
 
@@ -282,7 +288,7 @@ def test_random_doubles_continue_the_seeded_random_stream(seed):
 def test_generate_loss_rate_concentrates():
     # binomial: 3 sigma at n=20000, p=0.05 is ~0.46 pct points
     trace = generate(uniform_spec(loss_prob=0.05, duration_s=400.0, rng_seed=1234))
-    assert len(trace.packets) == 20000
+    assert len(trace.seq) == 20000
     assert loss_rate(trace) == pytest.approx(5.0, abs=0.5)
 
 
@@ -291,7 +297,7 @@ def test_generate_deterministic():
         loss_prob=0.1, jitter_model="uniform", jitter_amplitude_ms=20.0
     )
     a, b = generate(spec), generate(spec)
-    assert a.packets == b.packets
+    assert_same_packets(a, b)
     assert trace_to_csv_text(a) == trace_to_csv_text(b)
 
 
@@ -305,7 +311,7 @@ def test_generate_pareto_delays_nonnegative_and_heavy():
             duration_s=60.0,
         )
     )
-    delays = [p.delay_ms for p in trace.packets]
+    delays = (trace.recv - trace.send).tolist()  # no loss: every packet arrives
     assert all(d >= 50.0 for d in delays)  # pareto draw is nonnegative
     assert max(d - 50.0 for d in delays) > 20.0  # heavy tail shows up
 
@@ -378,13 +384,20 @@ def test_load_impairment_spec(tmp_path):
 # ---------------------------------------------------------------------------
 # trace records and file format
 
+def refusal(records) -> str:
+    """The message with which ``Trace`` refuses ``records``."""
+    with pytest.raises(ValueError) as exc:
+        Trace(records)
+    return str(exc.value)
+
+
 def test_record_validation():
-    with pytest.raises(ValueError, match="precedes"):
-        PacketRecord(1, 100.0, 50.0)
-    with pytest.raises(ValueError, match="nonnegative"):
-        PacketRecord(-1, 0.0, None)
-    with pytest.raises(ValueError, match="lost"):
-        PacketRecord(1, 0.0, None).delay_ms
+    # a record is a plain value, and Trace checks it
+    assert PacketRecord(1, 100.0, 50.0).recv_ts_ms == 50.0
+    assert refusal([PacketRecord(1, 100.0, 50.0)]) == (
+        "seq 1: recv_ts_ms 50.0 precedes send_ts_ms 100.0"
+    )
+    assert refusal([PacketRecord(-1, 0.0, None)]) == "seq must be nonnegative, got -1"
 
 
 def test_trace_validation():
@@ -398,13 +411,33 @@ def test_trace_validation():
         ([(3, 0.0, 1.0), (2, 20.0, 21.0)], "seq must be strictly increasing, got 3 then 2"),
         ([(1, 0.0, 1.0), (2, 20.0, 5.0)], "seq 2: recv_ts_ms 5.0 precedes send_ts_ms 20.0"),
         ([(1, 0.0, 1.0), (2, 20.0, math.inf)], "seq 2: recv_ts_ms must be finite, got inf"),
+        ([(1, 0.0, 1.0), (2, -math.inf, 21.0)], "seq 2: send_ts_ms must be finite, got -inf"),
         ([(1, 0.0, 1.0), (-1, 20.0, 21.0)], "seq must be nonnegative, got -1"),
+        ([(1.5, 0.0, 1.0)], "seq must be an integer, got 1.5"),
+        ([(True, 0.0, 1.0)], "seq must be an integer, got True"),
+        # one row with two faults the columns show gets the columns' message
+        ([(1, math.inf, math.inf)], "seq 1: recv_ts_ms must be finite, got inf"),
     ):
-        with pytest.raises(ValueError) as from_records:
-            Trace([PacketRecord(*row) for row in rows])
         with pytest.raises(ValueError) as from_columns:
             Trace(columns=tuple(np.array(column) for column in zip(*rows)))
-        assert str(from_records.value) == str(from_columns.value) == message
+        from_records = refusal([PacketRecord(*row) for row in rows])
+        assert from_records == str(from_columns.value) == message
+    # A NaN receive time is refused only in a record: a column reads it as a
+    # loss.  Of several faults, a non-integer seq comes first, then the first
+    # row that breaks the contract, then the first NaN receive time.
+    nan = math.nan
+    for rows, message in (
+        ([(1, 0.0, 1.0), (2, 20.0, nan)], "seq 2: recv_ts_ms must be finite, got nan"),
+        ([(-1, 0.0, nan)], "seq must be nonnegative, got -1"),
+        ([(1, 0.0, nan), (2, 20.0, nan), (2.5, 40.0, 5.0)], "seq must be an integer, got 2.5"),
+        ([(1, 0.0, nan), (2, 20.0, 5.0), (1, 40.0, 41.0)],
+         "seq 2: recv_ts_ms 5.0 precedes send_ts_ms 20.0"),
+        ([(1, 0.0, 1.0), (2, 20.0, nan), (3, 40.0, nan)],
+         "seq 2: recv_ts_ms must be finite, got nan"),
+    ):
+        assert refusal([PacketRecord(*row) for row in rows]) == message
+    lost = Trace([PacketRecord(1, 0.0, None), PacketRecord(2, 20.0, 21.0)])
+    assert np.isnan(lost.recv[0])  # None, not NaN, marks a lost record
 
 
 @pytest.mark.parametrize(
@@ -433,10 +466,8 @@ def test_trace_columns_reject_seq_beyond_64_bits(seqs):
 
 def test_record_rejects_seq_that_is_not_an_integer():
     for seq, shown in ((1.5, "1.5"), (2.0, "2.0"), (True, "True"), ("3", "'3'")):
-        with pytest.raises(ValueError) as exc:
-            PacketRecord(seq, 0.0, 10.0)
-        assert str(exc.value) == f"seq must be an integer, got {shown}"
-    assert PacketRecord(np.int64(3), 0.0, 10.0).seq == 3
+        assert refusal([PacketRecord(seq, 0.0, 10.0)]) == f"seq must be an integer, got {shown}"
+    assert Trace([PacketRecord(np.int64(3), 0.0, 10.0)]).seq.tolist() == [3]
 
 
 def test_read_trace_names_true_line_in_a_later_block(tmp_path):
@@ -469,7 +500,7 @@ def test_trace_csv_round_trip(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text(trace_to_csv_text(trace), newline="")
     back = read_trace(path)
-    assert back.packets == trace.packets
+    assert_same_packets(back, trace)
 
 
 def test_read_trace_infers_nominal_interval(tmp_path):
@@ -537,7 +568,7 @@ def test_read_trace_skips_blank_rows_and_keeps_line_numbers(tmp_path):
     path = tmp_path / "blank.csv"
     path.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n\n , ,\n2,20.0,\n")
     trace = read_trace(path)
-    assert trace.packets == (PacketRecord(1, 0.0, 100.0), PacketRecord(2, 20.0, None))
+    assert_same_packets(trace, Trace(columns=([1, 2], [0.0, 20.0], [100.0, math.nan])))
     path.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n\n2,20.0,10.0\n")
     with pytest.raises(ValueError, match="line 4: seq 2: recv_ts_ms 10.0 precedes"):
         read_trace(path)
@@ -551,10 +582,12 @@ def test_read_trace_names_line_of_seq_that_does_not_increase(tmp_path):
 
 
 def test_record_rejects_non_finite_timestamps():
-    with pytest.raises(ValueError, match="finite"):
-        PacketRecord(1, 0.0, float("nan"))
-    with pytest.raises(ValueError, match="finite"):
-        PacketRecord(1, float("inf"), None)
+    for row, message in (
+        ((1, 0.0, math.nan), "seq 1: recv_ts_ms must be finite, got nan"),
+        ((1, math.inf, None), "seq 1: send_ts_ms must be finite, got inf"),
+        ((1, 0.0, -math.inf), "seq 1: recv_ts_ms must be finite, got -inf"),
+    ):
+        assert refusal([PacketRecord(*row)]) == message
 
 
 def test_read_trace_rejects_seq_beyond_64_bits(tmp_path):

@@ -26,7 +26,6 @@ from qoekit.trace import (
     JITTER_ESTIMATORS,
     JITTER_MODELS,
     ImpairmentSpec,
-    PacketRecord,
     Trace,
     generate,
     jitter_mean_abs,
@@ -55,11 +54,8 @@ def traces(draw, backward_sends=False):
     sends = list(accumulate(steps, initial=draw(st.floats(-1e3, 1e3))))
     delay = st.one_of(st.none(), st.floats(0.0, 200.0))
     delays = draw(st.lists(delay, min_size=n, max_size=n))
-    packets = [
-        PacketRecord(q, t, None if d is None else t + d)
-        for q, t, d in zip(seqs, sends, delays)
-    ]
-    return Trace(packets)
+    recvs = [math.nan if d is None else t + d for t, d in zip(sends, delays)]
+    return Trace(columns=(seqs, sends, recvs))
 
 
 def outcome(fn, *args):
@@ -90,7 +86,7 @@ def median_send_delta(trace) -> float:
 def test_windows_equal_scalar_oracle(trace, window_len_s, estimator):
     got = windows(trace, window_len_s, estimator)
     interval_ms = median_send_delta(trace)
-    want = oracle.windows(trace.packets, window_len_s, estimator, interval_ms)
+    want = oracle.windows(oracle.rows(trace), window_len_s, estimator, interval_ms)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (
@@ -112,12 +108,12 @@ def test_whole_trace_functions_equal_scalar_oracle(trace):
         (loss_rate, oracle.loss_rate),
         (mean_delay, oracle.mean_delay),
     ):
-        assert outcome(fn, trace) == outcome(ref, trace.packets)
+        assert outcome(fn, trace) == outcome(ref, oracle.rows(trace))
     for fn, ref in (
         (jitter_rfc3550, oracle.jitter_rfc3550),
         (jitter_mean_abs, oracle.jitter_mean_abs),
     ):
-        (kind, got), (ref_kind, want) = outcome(fn, trace), outcome(ref, trace.packets)
+        (kind, got), (ref_kind, want) = outcome(fn, trace), outcome(ref, oracle.rows(trace))
         assert kind == ref_kind
         assert close(got, want) if kind == "ok" else got == want
 
@@ -187,7 +183,6 @@ def test_csv_round_trip_is_exact(trace):
     assert np.array_equal(back.seq, trace.seq)
     assert np.array_equal(back.send, trace.send)
     assert np.array_equal(back.recv, trace.recv, equal_nan=True)
-    assert back.packets == trace.packets
 
 
 @PROPERTY_SETTINGS
