@@ -172,9 +172,6 @@ class WeightVector:
                 f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}"
             )
 
-    def __getitem__(self, criterion: str) -> float:
-        return self.values[self.criteria.index(criterion)]
-
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.criteria, self.values))
 

@@ -52,11 +52,19 @@ _WRITE_CHARS = 1 << 20
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename; a failure removes it."""
+    """Write via a hidden temp file in the same directory, then rename; a failure
+    removes it.  The temp file is new, so it is never an input or another output."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    n = 0
+    while True:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}-{n}.tmp")
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+            break
+        except FileExistsError:
+            n += 1
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with fh:
             for i in range(0, len(text), _WRITE_CHARS):
                 fh.write(text[i : i + _WRITE_CHARS])
         os.replace(tmp, path)
@@ -335,13 +343,14 @@ def _scoring_options(args: argparse.Namespace):
 def cmd_mos(args: argparse.Namespace) -> int:
     model, profile = _scoring_options(args)
     sample = composite.QosSample(args.loss, args.delay, args.jitter)
-    mos, r_factors = composite.score_row(sample, model, profile)
+    mos, r_factors = composite.component_mos(sample, profile)
+    overall = composite.combine(model, mos)  # first: it checks the model's criteria
     payload = {
         "model": model.name,
         "profile": profile.name,
         "sample": asdict(sample),
         "r_factors": r_factors,
-        "mos": mos,
+        "mos": {**{c: mos[c] for c in model.criteria}, "overall": overall},
     }
     if args.json:
         print(json_text(payload))
@@ -455,11 +464,10 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
         rows, values, lines, cells, seen = [], [], [], [], {}
         for wid, sample, expected, lost, received, start, end, partial in block:
             loss, delay, jitter = sample.loss_pct, sample.delay_ms, sample.jitter_ms
-            mos, r_factors = composite.score_row(sample, model, profile)
+            mos, r_factors = composite.component_mos(sample, profile)
+            m_overall = composite.combine(model, mos)
             r_loss, r_delay, r_jitter = r_factors["loss"], r_factors["delay"], r_factors["jitter"]
-            m_loss, m_delay, m_jitter, m_overall = (
-                mos["loss"], mos["delay"], mos["jitter"], mos["overall"]
-            )
+            m_loss, m_delay, m_jitter = mos["loss"], mos["delay"], mos["jitter"]
             delay_s = "n/a" if delay is None else dp % delay
             jitter_s = "n/a" if jitter is None else dp % jitter
             key = (loss, r_loss, m_loss, r_jitter, m_jitter)

@@ -211,30 +211,18 @@ def component_mos(
     return mos, r_factors
 
 
-def score_row(
-    sample: QosSample, model: CompositeModel, profile: CodecProfile = G729
-) -> tuple[dict[str, float], dict[str, float | None]]:
-    """Measured sample -> per-criterion MOS, in model order, plus "overall",
-    and the R per criterion behind them.
-
-    The one scoring path: ``qoekit mos``, each ``trace analyze`` window and
-    :func:`score` all go through it, so a window and the point score of
-    its sample agree exactly.
-    """
-    components, r_factors = component_mos(sample, profile)
-    overall = combine(model, components)
-    mos = {c: components[c] for c in model.criteria}
-    mos["overall"] = overall
-    return mos, r_factors
-
-
 def score(
     sample: QosSample,
     model: CompositeModel,
     profile: CodecProfile = G729,
 ) -> float:
-    """End-to-end pipeline: measured sample -> components -> overall MOS."""
-    return score_row(sample, model, profile)[0]["overall"]
+    """End-to-end pipeline: measured sample -> components -> overall MOS.
+
+    The one scoring path: ``qoekit mos``, each ``trace analyze`` window and
+    this function call :func:`component_mos` and then :func:`combine`, so a
+    window and the point score of its sample agree exactly.
+    """
+    return combine(model, component_mos(sample, profile)[0])
 
 
 @names_file

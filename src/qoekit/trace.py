@@ -64,11 +64,11 @@ def _check_columns(seq, send, recv, where=lambda i: "") -> None:
         (recv < send, "seq {s}: recv_ts_ms {r} precedes send_ts_ms {t}"),
         (backwards, "seq must be strictly increasing, got {p} then {s}"),
     )
-    found = [(int(bad.argmax()), message) for bad, message in checks if bad.any()]
-    if found:
-        i, message = min(found)
+    found = [(int(bad.argmax()), k) for k, (bad, _) in enumerate(checks) if bad.any()]
+    if found:  # the first bad row, and of its faults the one checked first
+        i, k = min(found)
         s, t, r, p = seq[i].item(), send[i].item(), recv[i].item(), seq[i - 1].item()
-        raise ValueError(where(i) + message.format(s=s, t=t, r=r, p=p))
+        raise ValueError(where(i) + checks[k][1].format(s=s, t=t, r=r, p=p))
 
 
 class Trace:

@@ -212,7 +212,7 @@ def test_criterion_1_weight_averages_reproduction():
         matrix = PairwiseMatrix(CRITERIA, REFERENCE_MATRIX)
         weights, _ = column_average_weights(matrix)
         for criterion, published in zip(CRITERIA, PUBLISHED_WEIGHTS):
-            assert abs(weights[criterion] - published) <= 0.005
+            assert abs(weights.as_dict()[criterion] - published) <= 0.005
 
 
 def test_criterion_2_preset_weight_sums():

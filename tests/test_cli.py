@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from collections import Counter
@@ -669,6 +670,25 @@ def test_mos_json_full_precision(capsys):
     assert payload["r_factors"]["loss"] == pytest.approx(82.2)
 
 
+def test_mos_json_lists_mos_in_model_order_then_overall(tmp_path, capsys):
+    config = tmp_path / "models.json"
+    config.write_text(json.dumps(
+        {"name": "jld", "criteria": ["jitter", "loss", "delay"], "weights": [0.3, 0.3, 0.4]}
+    ))
+    code, out, _ = run(
+        capsys, "mos", "--loss", "2", "--delay", "180", "--jitter", "60",
+        "--models-config", str(config), "--model", "jld", "--json",
+    )
+    assert code == 0
+    mos = json.loads(out)["mos"]
+    assert list(mos.items()) == [
+        ("jitter", 3.7092253215496793),
+        ("loss", 3.817889612056199),
+        ("delay", 4.302757341720992),
+        ("overall", 3.9792374167701605),
+    ]
+
+
 def test_mos_rejects_video_model_for_qos_sample(capsys):
     code, _, err = run(
         capsys, "mos", "--loss", "0", "--delay", "0", "--model", "video-network"
@@ -1015,6 +1035,15 @@ def test_trace_analyze_reports_malformed_line(tmp_path, capsys):
     assert "line 3" in err
 
 
+def test_trace_analyze_names_a_rows_first_fault_in_check_order(tmp_path, capsys):
+    # the send time is checked before the order of the two times
+    bad = tmp_path / "bad.csv"
+    bad.write_text("seq,send_ts_ms,recv_ts_ms\n1,0.0,100.0\n2,inf,5.0\n")
+    code, out, err = run(capsys, "trace", "analyze", str(bad))
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: line 3: seq 2: send_ts_ms must be finite, got inf\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_trace_analyze_rejects_non_finite_row(tmp_path, capsys, value):
     bad = tmp_path / "bad.csv"
@@ -1274,6 +1303,37 @@ def test_atomic_write_text_failure_removes_temp_file(tmp_path):
     assert path.read_text() == "old"
 
 
+def test_atomic_write_text_keeps_existing_temp_names(tmp_path):
+    # a file named as the temp file once was, or as this process's first
+    # temp name, is left alone; the output gets the mode open(..., "w") gives
+    text = "report\n"
+    path = tmp_path / "out.txt"
+    others = {
+        tmp_path / "out.txt.tmp": b"unrelated",
+        path.with_name(f".out.txt.{os.getpid()}-0.tmp"): b"also unrelated",
+    }
+    for other, data in others.items():
+        other.write_bytes(data)
+    cli.atomic_write_text(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert {p: p.read_bytes() for p in others} == others
+    assert sorted(tmp_path.iterdir()) == sorted([path, *others])
+    with open(tmp_path / "reference.txt", "w") as fh:
+        fh.write(text)
+    assert path.stat().st_mode == (tmp_path / "reference.txt").stat().st_mode
+
+
+def test_analyze_input_named_as_outputs_old_temp_file_survives(tmp_path, capsys, monkeypatch):
+    trace_csv = floored_partial_trace(tmp_path / "X.tmp")
+    data = Path(trace_csv).read_bytes()
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run(capsys, "trace", "analyze", "X.tmp", "--out", "X", "--window", "1")
+    assert code == 0
+    assert Path("X.tmp").read_bytes() == data
+    assert json.loads(Path("X").read_text())["inputs"][0]["path"] == "X.tmp"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X", "X.tmp"]
+
+
 def test_analyze_without_out_renders_no_report_rows(tmp_path, capsys, monkeypatch):
     def no_rows(rows, values):
         raise AssertionError("report rows rendered without --out")
@@ -1288,13 +1348,7 @@ def test_analyze_without_out_renders_no_report_rows(tmp_path, capsys, monkeypatc
 def test_analyze_rejects_non_finite_row_value_before_printing(tmp_path, capsys, monkeypatch):
     # no valid input reaches it: the kernel and QosSample pass finite values only
     trace_csv = floored_partial_trace(tmp_path / "trace.csv")
-    score_row = cli.composite.score_row
-
-    def nan_overall(*args):
-        mos, r_factors = score_row(*args)
-        return {**mos, "overall": float("nan")}, r_factors
-
-    monkeypatch.setattr(cli.composite, "score_row", nan_overall)
+    monkeypatch.setattr(cli.composite, "combine", lambda model, mos: float("nan"))
     report = tmp_path / "report.json"
     code, out, err = run(
         capsys, "trace", "analyze", trace_csv, "--window", "0.1", "--out", str(report)

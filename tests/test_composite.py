@@ -28,7 +28,6 @@ from qoekit import (
     mos_from_r,
     score,
 )
-from qoekit.composite import score_row
 from qoekit.emodel import DELAY_KNEE_MS, PARETO_H_MAX, PARETO_H_MIN
 from conftest import CRITERIA, REFERENCE_MATRIX
 
@@ -313,16 +312,16 @@ def test_register_weights_from_reference_matrix():
     weights, _ = column_average_weights(PairwiseMatrix(CRITERIA, REFERENCE_MATRIX))
     model = make_model("derived", weights.values, weights.criteria)
     for criterion in CRITERIA:
-        assert model.weights[criterion] == pytest.approx(
-            PAPER.weights[criterion], abs=0.005
+        assert model.weights.as_dict()[criterion] == pytest.approx(
+            PAPER.weights.as_dict()[criterion], abs=0.005
         )
 
 
 def test_derived_weights_match_voice_preset_within_half_percent():
     weights, _ = column_average_weights(PairwiseMatrix(CRITERIA, REFERENCE_MATRIX))
     for criterion in CRITERIA:
-        assert weights[criterion] == pytest.approx(
-            PAPER.weights[criterion], abs=0.005
+        assert weights.as_dict()[criterion] == pytest.approx(
+            PAPER.weights.as_dict()[criterion], abs=0.005
         )
 
 
@@ -371,8 +370,11 @@ def test_in_buffer_jitter_constant_is_each_profiles_own():
     for profile in (replace(G729, jitter_t_ms=10.0), replace(CUSTOM_JITTER, name="copy")):
         for jitter in (0.0, profile.jitter_t_ms):
             sample = QosSample(1.0, 50.0, jitter)
-            got = score_row(sample, PAPER, profile)
-            assert repr(got) == repr(reference.score_row(sample, PAPER, profile))
+            got = component_mos(sample, profile)
+            assert repr(got) == repr(reference.component_mos(sample, profile))
+            assert repr(combine(PAPER, got[0])) == repr(
+                reference.score_row(sample, PAPER, profile)[0]["overall"]
+            )
             assert (got[1]["jitter"], got[0]["jitter"]) == profile.in_buffer_jitter
             assert got[1]["jitter"] != g729_r and got[0]["jitter"] != g729_mos
     assert G729.in_buffer_jitter == (g729_r, g729_mos)
@@ -405,11 +407,10 @@ JITTER_FIRST = make_model("jld", (0.3, 0.3, 0.4), ("jitter", "loss", "delay"))
 def test_score_row_equals_reference_bit_for_bit(loss, delay, data, profile, model):
     jitter = data.draw(around(profile.jitter_t_ms, 100.0))
     sample = QosSample(loss, delay, jitter)
-    got = score_row(sample, model, profile)
-    assert repr(got) == repr(reference.score_row(sample, model, profile))
-    assert repr(component_mos(sample, profile)) == repr(
-        reference.component_mos(sample, profile)
-    )
+    mos, r_factors = component_mos(sample, profile)
+    assert repr((mos, r_factors)) == repr(reference.component_mos(sample, profile))
+    overall = reference.score_row(sample, model, profile)[0]["overall"]
+    assert repr(combine(model, mos)) == repr(score(sample, model, profile)) == repr(overall)
     if delay is not None:
         assert repr(delay_impairment(delay)) == repr(reference.delay_impairment(delay))
 

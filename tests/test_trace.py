@@ -415,8 +415,8 @@ def test_trace_validation():
         ([(1, 0.0, 1.0), (-1, 20.0, 21.0)], "seq must be nonnegative, got -1"),
         ([(1.5, 0.0, 1.0)], "seq must be an integer, got 1.5"),
         ([(True, 0.0, 1.0)], "seq must be an integer, got True"),
-        # one row with two faults the columns show gets the columns' message
-        ([(1, math.inf, math.inf)], "seq 1: recv_ts_ms must be finite, got inf"),
+        # of one row's faults, the one checked first is named
+        ([(1, math.inf, math.inf)], "seq 1: send_ts_ms must be finite, got inf"),
     ):
         with pytest.raises(ValueError) as from_columns:
             Trace(columns=tuple(np.array(column) for column in zip(*rows)))
