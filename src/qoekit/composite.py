@@ -55,19 +55,13 @@ class QosSample:
     jitter_ms: float | None
 
     def __post_init__(self) -> None:
-        # the valid case in one chain; NaN fails every comparison
-        delay, jitter = self.delay_ms, self.jitter_ms
-        if delay is not None and jitter is not None and (
-            0.0 <= delay < math.inf > jitter >= 0.0 <= self.loss_pct <= 100.0
-        ):
-            return
+        # NaN fails every comparison, so test for the valid range
         if not 0.0 <= self.loss_pct <= 100.0:
             raise ValueError(f"loss_pct must be within [0, 100], got {self.loss_pct}")
-        # NaN fails every comparison, so test for the valid range
-        for name in ("delay_ms", "jitter_ms"):
-            value = getattr(self, name)
-            if value is not None and not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.delay_ms is not None and not 0.0 <= self.delay_ms < math.inf:
+            raise ValueError(f"delay_ms must be finite and >= 0, got {self.delay_ms}")
+        if self.jitter_ms is not None and not 0.0 <= self.jitter_ms < math.inf:
+            raise ValueError(f"jitter_ms must be finite and >= 0, got {self.jitter_ms}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ only.  Generated traces are deterministic for a given seed.
 """
 from __future__ import annotations
 
+import array
 import csv
 import io
 import math
@@ -23,8 +24,7 @@ import numpy as np
 
 from .composite import QosSample
 from .emodel import (
-    PARETO_H_MAX, PARETO_H_MIN, check_finite, json_number, json_object, json_string,
-    names_file, read_json,
+    check_finite, json_number, json_object, json_string, names_file, read_json,
 )
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
@@ -133,7 +133,11 @@ class WindowMetrics(NamedTuple):
 @dataclass(frozen=True)
 class ImpairmentSpec:
     """Generator settings: loss probability, base delay, jitter model,
-    duration, cadence and a mandatory RNG seed."""
+    duration, cadence and a mandatory RNG seed.
+
+    Pareto jitter is the Lomax law scale * ((1 - u)**(-1/shape) - 1), whose
+    mean scale/(shape - 1) is finite only for shape > 1; the default 1.5
+    leaves its variance infinite."""
 
     loss_prob: float
     base_delay_ms: float
@@ -142,21 +146,21 @@ class ImpairmentSpec:
     rng_seed: int
     jitter_model: str = "none"
     jitter_amplitude_ms: float = 0.0
-    pareto_shape: float = 0.6
+    pareto_shape: float = 1.5
     pareto_scale_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        lo, hi, models = PARETO_H_MIN, PARETO_H_MAX, JITTER_MODELS
         check_finite(self)
         for ok, message in (
             (0.0 <= self.loss_prob <= 1.0, "loss_prob must be within [0, 1]"),
             (self.base_delay_ms >= 0, "base_delay_ms must be >= 0"),
             (self.duration_s > 0, "duration_s must be > 0"),
             (self.packet_interval_ms > 0, "packet_interval_ms must be > 0"),
-            (isinstance(self.rng_seed, int), "rng_seed must be an integer"),
-            (self.jitter_model in models, f"jitter_model must be one of {models}"),
+            (isinstance(self.rng_seed, int) and not isinstance(self.rng_seed, bool),
+             "rng_seed must be an integer"),
+            (self.jitter_model in JITTER_MODELS, f"jitter_model must be one of {JITTER_MODELS}"),
             (self.jitter_amplitude_ms >= 0, "jitter_amplitude_ms must be >= 0"),
-            (lo <= self.pareto_shape <= hi, f"pareto_shape must be within [{lo}, {hi}]"),
+            (self.pareto_shape > 1.0, "pareto_shape must be > 1"),
             (self.pareto_scale_ms >= 0, "pareto_scale_ms must be >= 0"),
         ):
             if not ok:
@@ -458,13 +462,7 @@ def _read_blocks(path: str | Path):
         warnings.simplefilter("error")
         if fh.readline() not in _HEADER_LINES:
             return None
-        start, count, last = fh.tell(), 0, b"\n"  # count rows to fill exact columns
-        for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
-            count, last = count + block.count(b"\n"), block
-        count += not last.endswith(b"\n")
-        columns = tuple(np.empty(count, _ROW[name]) for name in _ROW.names)
-        fh.seek(start)
-        done = 0
+        buffers = tuple(array.array(code) for code in "qdd")  # grown per block
         while block := fh.read(_BLOCK_BYTES) + fh.readline():
             # a CR that ends the file is lone: the LF added below must not
             # make it a CRLF
@@ -484,6 +482,7 @@ def _read_blocks(path: str | Path):
                 return None
             ends[crlf] -= 1  # each line's end: its CR, else its LF
             at = ends[a[ends - 1] == ord(",")].tolist()
+            count = len(ends)
             del a, ends, crlf  # not held through the parse
             text = b"nan".join([block[i:j] for i, j in zip([0, *at], [*at, len(block)])])
             try:
@@ -493,18 +492,20 @@ def _read_blocks(path: str | Path):
                 )
             except (ValueError, Warning):
                 return None
-            for column, name in zip(columns, _ROW.names):
-                column[done : done + len(rows)] = rows[name]
-            done += len(rows)
-    if not count or done < count:  # numpy skips blank rows
+            if len(rows) < count:  # numpy skips blank rows
+                return None
+            for buffer, name in zip(buffers, _ROW.names):
+                buffer.frombytes(rows[name].tobytes())
+    if not buffers[0]:
         return None
-    return columns, range(2, count + 2)
+    columns = tuple(np.frombuffer(b, _ROW[name]) for b, name in zip(buffers, _ROW.names))
+    return columns, range(2, len(columns[0]) + 2)
 
 
 def _read_rows(path: str | Path):
     """The columns of any trace file and their line numbers, one csv row at
     a time; raises naming the line of a malformed row."""
-    seq, send, recv, blank = [], [], [], []
+    seq, send, recv, lines = [], [], [], []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -520,16 +521,15 @@ def _read_rows(path: str | Path):
                     raise ValueError("recv_ts_ms must be finite, got nan")
             except ValueError as exc:  # blank rows are checked for only here
                 if not any(cell.strip() for cell in row):
-                    blank.append(n)
                     continue
                 reason = exc if len(row) == 3 else "expected 3 columns"
                 raise ValueError(f"line {n}: {reason}") from exc
             seq.append(q)
             send.append(t)
             recv.append(r)
+            lines.append(n)
     if not seq:
         raise ValueError("trace contains no packets")
-    lines = np.delete(np.arange(2, len(seq) + len(blank) + 2), np.array(blank, int) - 2)
     try:  # a None receive time becomes NaN
         columns = (np.array(seq, np.int64), np.array(send), np.array(recv, np.float64))
     except OverflowError:
@@ -553,7 +553,7 @@ def spec_from_dict(data: dict) -> ImpairmentSpec:
             "duration_s": data["duration_s"],
             "packet_interval_ms": data["packet_interval_ms"],
             "jitter_amplitude_ms": jitter.get("amplitude_ms", 0.0),
-            "pareto_shape": jitter.get("shape", 0.6),
+            "pareto_shape": jitter.get("shape", ImpairmentSpec.pareto_shape),
             "pareto_scale_ms": jitter.get("scale_ms", 0.0),
         }
     except KeyError as exc:

@@ -45,7 +45,7 @@ SPECS = {
     "spec-pareto.json": {  # delays large beside send times: pow's last bit shows
         "loss_prob": 0.0, "base_delay_ms": 0.0, "duration_s": 1.0,
         "packet_interval_ms": 1.0, "rng_seed": 2**64 + 5,
-        "jitter": {"model": "pareto", "shape": 0.7, "scale_ms": 200.0},
+        "jitter": {"model": "pareto", "shape": 1.1, "scale_ms": 200.0},
     },
     "spec-none.json": {
         "loss_prob": 0.25, "base_delay_ms": 60.0, "duration_s": 10.0,

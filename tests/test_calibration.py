@@ -3,8 +3,10 @@
 For a trace from ``generate`` the truth is known without reference to
 any estimator: each packet is lost with probability p, and a received
 packet's delay is the base plus an independent jitter draw, uniform on
-[-A, A] for the ``uniform`` model and 0 for ``none``.  With base >= A no
-delay is truncated at zero.  Each check compares a statistic with its
+[-A, A] for the ``uniform`` model, 0 for ``none`` and, for ``pareto``, a
+Lomax draw scale * ((1 - u)**(-1/alpha) - 1), with u uniform on [0, 1).
+With base >= A no delay is truncated at zero, and a Lomax draw is never
+negative.  Each check compares a statistic with its
 expectation within Z standard deviations, the deviation derived from the
 statistic's variance as each test states.  The seeds are fixed, so a
 check passes or fails the same way on every run; a bound is never widened
@@ -135,3 +137,45 @@ def test_mean_of_whole_trace_rfc3550_jitter_is_two_thirds_a():
     variance = (VAR_D + 2 * (1 - g) * COV_D) * A_MS**2 / 31
     sd = math.sqrt(variance / RFC3550_TRACES)
     assert abs(sum(estimates) / RFC3550_TRACES - 2 * A_MS / 3) <= Z * sd
+
+
+#: Scale of the Pareto (Lomax) jitter draws, in ms.
+PARETO_SCALE_MS = 5.0
+
+
+def pareto_jitter(alpha: float, seed: int) -> np.ndarray:
+    """The jitter draws of 1 h of 20 ms packets with Lomax jitter of tail
+    index ``alpha``: no loss and no base delay, so each delay is a draw."""
+    trace = generate(ImpairmentSpec(
+        0.0, 0.0, HOUR_S, INTERVAL_MS, seed, "pareto",
+        pareto_shape=alpha, pareto_scale_ms=PARETO_SCALE_MS,
+    ))
+    return trace.recv - trace.send
+
+
+def test_pareto_jitter_median_is_lomax_median():
+    # The Lomax CDF is 1 - (1 + x/scale)^(-alpha), so the median is
+    # scale (2^(1/alpha) - 1).  Each of the n draws lies at or below it with
+    # probability 1/2, so that fraction is Binomial(n, 1/2)/n, of standard
+    # deviation 1/(2 sqrt(n)); this holds at alpha = 1.5, whose variance is
+    # infinite.
+    alpha = 1.5
+    jitter = pareto_jitter(alpha, 3)
+    median = PARETO_SCALE_MS * (2 ** (1 / alpha) - 1)
+    sd = 0.5 / math.sqrt(len(jitter))
+    assert abs(np.count_nonzero(jitter <= median) / len(jitter) - 0.5) <= Z * sd
+
+
+def test_pareto_jitter_mean_is_lomax_mean():
+    # The Lomax mean scale/(alpha - 1) is finite for alpha > 1, and the
+    # variance scale^2 alpha / ((alpha - 1)^2 (alpha - 2)) for alpha > 2,
+    # so the mean is checked at alpha = 3, where the variance is
+    # 3 scale^2 / 4 and the mean of n draws has standard deviation
+    # scale sqrt(3 / (4 n)).  The third moment is infinite at alpha = 3, so
+    # the mean nears normal slowly; Chebyshev alone bounds |z| > Z by
+    # 1/Z^2 for any law of finite variance.
+    alpha = 3.0
+    jitter = pareto_jitter(alpha, 4)
+    variance = PARETO_SCALE_MS**2 * alpha / ((alpha - 1) ** 2 * (alpha - 2))
+    sd = math.sqrt(variance / len(jitter))
+    assert abs(jitter.mean() - PARETO_SCALE_MS / (alpha - 1)) <= Z * sd

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoekit import cli
+from qoekit import trace as trace_module
 from qoekit.cli import main, parse_scale_entry, sha256_file
 from qoekit.emodel import G729
 from qoekit.trace import JITTER_ESTIMATORS, Trace, trace_to_csv_text
@@ -909,12 +910,13 @@ def test_trace_gen_rejects_too_many_packets(tmp_path, capsys, overrides):
 
 
 def test_trace_gen_rejects_out_of_range_shape(tmp_path, capsys):
-    spec = write_spec(
-        tmp_path, jitter={"model": "pareto", "shape": 0.95, "scale_ms": 2.0}
-    )
-    code, _, err = run(capsys, "trace", "gen", spec, "--out", str(tmp_path / "t.csv"))
-    assert code == 2
-    assert "pareto_shape" in err
+    for shape in (0.95, 1.0):  # the Lomax mean is finite only above 1
+        spec = write_spec(
+            tmp_path, jitter={"model": "pareto", "shape": shape, "scale_ms": 2.0}
+        )
+        code, _, err = run(capsys, "trace", "gen", spec, "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        assert "pareto_shape" in err
     # JSON allows 1e400 (and Infinity), which parse to inf
     for field, overrides in (
         ("duration_s", {"duration_s": float("inf")}),
@@ -1084,6 +1086,71 @@ def test_trace_analyze_report_hash_tracks_input(tmp_path, capsys):
     assert code == 0
     report = json.loads(report_json.read_text())
     assert report["inputs"][0]["sha256"] == sha256_file(trace_csv)
+
+
+class CountingFileIO(io.FileIO):
+    """A file opened for reading that adds each byte it reads to
+    ``counts[name]``."""
+
+    def __init__(self, file, counts: Counter):
+        super().__init__(file, "r")
+        self.counts = counts
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.counts[str(self.name)] += n or 0
+        return n
+
+    def readall(self):
+        data = super().readall()
+        self.counts[str(self.name)] += len(data)
+        return data
+
+
+def count_reads(monkeypatch) -> Counter:
+    """Bytes read per file through ``open`` in ``qoekit.trace`` and
+    ``qoekit.cli``, counted as the operating system delivers them."""
+    counts = Counter()
+
+    def counting_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+        if mode not in ("r", "rb"):
+            return open(file, mode, buffering, encoding, errors, newline)
+        fh = io.BufferedReader(CountingFileIO(file, counts))
+        return fh if mode == "rb" else io.TextIOWrapper(fh, encoding, errors, newline)
+
+    for module in (trace_module, cli):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    return counts
+
+
+def write_crlf_trace(tmp_path) -> Path:
+    trace = Trace(columns=(
+        np.arange(1, 3001), np.arange(3000) * 20.0,
+        np.where(np.arange(3000) % 50 == 7, np.nan, np.arange(3000) * 20.0 + 80.5),
+    ))
+    path = tmp_path / "trace.csv"
+    path.write_bytes(trace_to_csv_text(trace).encode("ascii"))
+    return path
+
+
+def test_read_trace_reads_each_byte_once(tmp_path, monkeypatch):
+    path = write_crlf_trace(tmp_path)
+    monkeypatch.setattr(trace_module, "_BLOCK_BYTES", 4096)  # many blocks
+    counts = count_reads(monkeypatch)
+    trace = trace_module.read_trace(str(path))
+    assert counts == {str(path): path.stat().st_size}
+    assert len(trace.seq) == 3000 and trace.seq[-1] == 3000
+
+
+def test_trace_analyze_out_reads_trace_twice(tmp_path, capsys, monkeypatch):
+    # once to parse and once for stamp's hash
+    path = write_crlf_trace(tmp_path)
+    counts = count_reads(monkeypatch)
+    code, _, _ = run(
+        capsys, "trace", "analyze", str(path), "--out", str(tmp_path / "report.json")
+    )
+    assert code == 0
+    assert counts == {str(path): 2 * path.stat().st_size}
 
 
 @pytest.mark.parametrize(

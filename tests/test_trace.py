@@ -306,7 +306,7 @@ def test_generate_pareto_delays_nonnegative_and_heavy():
         uniform_spec(
             base_delay_ms=50.0,
             jitter_model="pareto",
-            pareto_shape=0.6,
+            pareto_shape=1.5,
             pareto_scale_ms=2.0,
             duration_s=60.0,
         )
@@ -321,8 +321,11 @@ def test_impairment_spec_validation_names_fields():
         uniform_spec(loss_prob=1.5)
     with pytest.raises(ValueError, match="base_delay_ms"):
         uniform_spec(base_delay_ms=-1.0)
-    with pytest.raises(ValueError, match="pareto_shape"):
-        uniform_spec(jitter_model="pareto", pareto_shape=0.95)
+    for shape in (0.95, 1.0):  # the Lomax mean is finite only above 1
+        with pytest.raises(ValueError, match=f"pareto_shape must be > 1, got {shape}"):
+            uniform_spec(jitter_model="pareto", pareto_shape=shape)
+    with pytest.raises(ValueError, match="rng_seed must be an integer, got True"):
+        uniform_spec(rng_seed=True)  # a bool would seed like 1
     with pytest.raises(ValueError, match="jitter_model"):
         uniform_spec(jitter_model="gauss")
     with pytest.raises(ValueError, match="duration_s must be finite"):
@@ -370,6 +373,13 @@ def test_spec_from_dict_jitter_block():
     )
     assert spec.jitter_model == "uniform"
     assert spec.jitter_amplitude_ms == 15.0
+    # a Pareto block without a shape takes ImpairmentSpec's default
+    spec = spec_from_dict({
+        "loss_prob": 0, "base_delay_ms": 80, "duration_s": 1,
+        "packet_interval_ms": 20, "rng_seed": 7,
+        "jitter": {"model": "pareto", "scale_ms": 5},
+    })
+    assert spec.pareto_shape == uniform_spec().pareto_shape == 1.5
 
 
 def test_load_impairment_spec(tmp_path):

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 import scalar_trace as oracle
 from qoekit import trace as trace_module
-from qoekit.emodel import PARETO_H_MAX, PARETO_H_MIN
 from qoekit.trace import (
     JITTER_ESTIMATORS,
     JITTER_MODELS,
@@ -348,7 +347,7 @@ def specs(draw):
         )),
         jitter_model=draw(st.sampled_from(JITTER_MODELS)),
         jitter_amplitude_ms=draw(st.floats(0.0, 50.0)),
-        pareto_shape=draw(st.floats(PARETO_H_MIN, PARETO_H_MAX)),
+        pareto_shape=draw(st.floats(1.0, 10.0, exclude_min=True)),
         pareto_scale_ms=draw(st.floats(0.0, 10.0)),
     )
 
