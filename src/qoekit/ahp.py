@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .emodel import json_number, json_string, names_file, read_json
+from .emodel import json_number, json_string, names_file, open_text, read_json
 
 SAATY_MIN = 1.0 / 9.0
 SAATY_MAX = 9.0
@@ -151,18 +151,19 @@ class PairwiseMatrix:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Normalized per-criterion coefficients: nonnegative, summing to 1."""
+    """Normalized per-criterion coefficients, each passing :func:`json_number`
+    (the first that fails is named), nonnegative and summing to 1."""
 
     criteria: tuple[str, ...]
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "criteria", tuple(self.criteria))
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(json_number(v, "weight") for v in self.values))
         _check_criteria(self.criteria)
         if len(self.values) != len(self.criteria):
             raise ValueError("one weight per criterion required")
-        if not all(v >= 0 for v in self.values):  # NaN fails too
+        if not all(v >= 0 for v in self.values):
             raise ValueError(f"weights must be nonnegative, got {self.values}")
         total = 0.0
         for v in self.values:  # left to right, as in combine and make_model
@@ -313,10 +314,11 @@ def judgments_to_dict(js: JudgmentSet) -> dict:
 
 
 @names_file
-def read_matrix_csv(path: str | Path) -> PairwiseMatrix:
-    """Read a comparison matrix from CSV: header row of criteria, one
-    labeled row per criterion; every error names the file."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+def read_matrix_csv(path: str | Path, data: bytes | None = None) -> PairwiseMatrix:
+    """Read a comparison matrix from CSV, in the file at ``path`` or in
+    ``data``, that file's bytes as a caller read them: header row of
+    criteria, one labeled row per criterion; every error names ``path``."""
+    with open_text(path, data, newline="") as fh:
         rows = list(csv.reader(fh))
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     if len(rows) < 2:

@@ -266,8 +266,9 @@ def cmd_ahp_weights(args: argparse.Namespace) -> int:
     if args.matrix and args.judgments:
         raise ValueError("give either judgment files or --matrix, not both")
     if args.matrix:
-        matrix = ahp.read_matrix_csv(args.matrix)
-        inputs, data = [Path(args.matrix)], None
+        with open(args.matrix, "rb") as fh:  # read once: parsed here, hashed by stamp
+            data = [fh.read()]
+        matrix, inputs = ahp.read_matrix_csv(args.matrix, data[0]), [Path(args.matrix)]
         aggregate_note = "pre-aggregated"
     elif args.judgments:
         sets, data = [], []

@@ -15,7 +15,8 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 from pathlib import Path
 
 MOS_MIN = 1.0
@@ -28,11 +29,16 @@ PARETO_H_MIN = 0.55
 PARETO_H_MAX = 0.9
 
 
-def check_finite(fields) -> None:
-    """Reject a NaN or infinite float attribute of ``fields``, naming it."""
-    for name, value in vars(fields).items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def json_number(value, field: str, integer: bool = False) -> float | int:
+    """The one number rule, for JSON input and values built in code: a finite
+    int or float as float (with ``integer``, any integral number, numpy's
+    too, as int), else a ValueError naming ``field``: bools and None fail."""
+    kind, types = (("an integer", (int, Integral)) if integer  # int first: the ABC is slow
+                   else ("a finite number", (float, int)))
+    if isinstance(value, types) and not isinstance(value, bool):
+        if integer or abs(value) <= sys.float_info.max:  # NaN compares false
+            return int(value) if integer else float(value)
+    raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ class CodecProfile:
     it grows with its impairment, and a larger buffer lowers the jitter
     term.  So a negative ``loss_a``, ``loss_b`` or ``jitter_c4``, a
     ``loss_c`` at or below 0 and a negative jitter baseline
-    ``jitter_c1*h**2 + jitter_c2*h + jitter_c3`` are rejected.
+    ``jitter_c1*h**2 + jitter_c2*h + jitter_c3`` are rejected.  First, in
+    field order, each constant must pass :func:`json_number`, however built.
     """
 
     name: str
@@ -64,31 +71,25 @@ class CodecProfile:
     jitter_k: float = 30.0
 
     def __post_init__(self) -> None:
-        check_finite(self)
-        if not 0.0 < self.r0 <= 100.0:
-            raise ValueError(f"r0 must be within (0, 100], got {self.r0}")
-        if not PARETO_H_MIN <= self.pareto_h <= PARETO_H_MAX:
-            raise ValueError(
-                f"pareto_h must be within [{PARETO_H_MIN}, {PARETO_H_MAX}], "
-                f"got {self.pareto_h}"
-            )
-        if self.jitter_t_ms < 0:
-            raise ValueError(f"jitter_t_ms must be >= 0, got {self.jitter_t_ms}")
-        if self.jitter_k <= 0:
-            raise ValueError(f"jitter_k must be > 0, got {self.jitter_k}")
-        for name in ("loss_a", "loss_b", "jitter_c4"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.loss_c <= 0:
-            raise ValueError(f"loss_c must be > 0, got {self.loss_c}")
+        for f in fields(self)[1:]:  # every field but the name
+            object.__setattr__(self, f.name, json_number(getattr(self, f.name), f.name))
         h = self.pareto_h
         base = self.jitter_c1 * h * h + self.jitter_c2 * h + self.jitter_c3
-        if base < 0:
-            raise ValueError(
-                f"jitter_c1*pareto_h**2 + jitter_c2*pareto_h + jitter_c3 must be "
-                f">= 0, got {base}"
-            )
+        for ok, message in (
+            (0.0 < self.r0 <= 100.0, f"r0 must be within (0, 100], got {self.r0}"),
+            (PARETO_H_MIN <= h <= PARETO_H_MAX,
+             f"pareto_h must be within [{PARETO_H_MIN}, {PARETO_H_MAX}], got {h}"),
+            (self.jitter_t_ms >= 0, f"jitter_t_ms must be >= 0, got {self.jitter_t_ms}"),
+            (self.jitter_k > 0, f"jitter_k must be > 0, got {self.jitter_k}"),
+            (self.loss_a >= 0, f"loss_a must be >= 0, got {self.loss_a}"),
+            (self.loss_b >= 0, f"loss_b must be >= 0, got {self.loss_b}"),
+            (self.jitter_c4 >= 0, f"jitter_c4 must be >= 0, got {self.jitter_c4}"),
+            (self.loss_c > 0, f"loss_c must be > 0, got {self.loss_c}"),
+            (base >= 0, "jitter_c1*pareto_h**2 + jitter_c2*pareto_h + jitter_c3 "
+             f"must be >= 0, got {base}"),
+        ):
+            if not ok:
+                raise ValueError(message)
 
     @functools.cached_property
     def in_buffer_jitter(self) -> tuple[float, float]:
@@ -178,16 +179,6 @@ def mos_from_r(r: float) -> float:
     return raw if raw < MOS_MAX else MOS_MAX
 
 
-def json_number(value, field: str, integer: bool = False) -> float | int:
-    """A finite JSON number as float (an int with ``integer``), else a
-    ValueError naming ``field``: null, booleans, strings and overflow fail."""
-    kind, types = ("an integer", int) if integer else ("a finite number", (int, float))
-    if isinstance(value, types) and not isinstance(value, bool):
-        if integer or abs(value) <= sys.float_info.max:  # NaN compares false
-            return value if integer else float(value)
-    raise ValueError(f"{field} must be {kind}, got {value!r}")
-
-
 def names_file(read):
     """Decorate an input reader ``read(path, ...)`` so that each ValueError
     it raises, a bad UTF-8 byte's UnicodeDecodeError too, starts with the
@@ -203,16 +194,20 @@ def names_file(read):
     return reader
 
 
+def open_text(path: str | Path, data: bytes | None = None, newline: str | None = None):
+    """The input file at ``path`` opened as UTF-8 text, or ``data``, the
+    bytes a caller has read from it, decoded the same way, so that an error
+    gives the same line, column and position either way."""
+    if data is None:
+        return open(path, encoding="utf-8", newline=newline)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
 def read_json(path: str | Path, what: str, data: bytes | None = None):
     """The parsed JSON document of an input file, or of ``data``, the bytes
     a caller has read from it; a syntax error becomes a ValueError naming
     ``what`` the file holds."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    # decoded as a file opened in text mode as UTF-8 (universal newlines
-    # too), so an error gives the same line, column and position
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+    with open_text(path, data) as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
@@ -237,12 +232,13 @@ def json_object(value, field: str) -> dict:
 
 
 def profile_from_dict(data: dict) -> CodecProfile:
-    """Build a profile from the JSON layout {name, r0, loss:{...}, jitter:{...}}."""
+    """Build a profile from the JSON layout {name, r0, loss:{...}, jitter:{...}};
+    :class:`CodecProfile` checks the numbers."""
     json_object(data, "profile")
     try:
         loss = json_object(data["loss"], "profile field loss")
         jitter = json_object(data["jitter"], "profile field jitter")
-        fields = {
+        constants = {
             "r0": data["r0"],
             "loss_a": loss["a"],
             "loss_b": loss["b"],
@@ -258,7 +254,7 @@ def profile_from_dict(data: dict) -> CodecProfile:
         name = json_string(data["name"], "profile field name")
     except KeyError as exc:
         raise ValueError(f"profile is missing required field {exc}") from exc
-    profile = CodecProfile(name, **{f: json_number(v, f) for f, v in fields.items()})
+    profile = CodecProfile(name, **constants)
     # Finite coefficients can still overflow a term to a non-finite rating.
     # The loss term grows with loss_pct and the jitter term falls with t_ms,
     # so one that overflows anywhere does so at 100% loss or at the

@@ -16,7 +16,7 @@ import math
 import random
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .composite import QosSample
 from .emodel import (
-    check_finite, json_number, json_object, json_string, names_file, read_json,
+    json_number, json_object, json_string, names_file, read_json,
 )
 
 TRACE_HEADER = ("seq", "send_ts_ms", "recv_ts_ms")
@@ -48,8 +48,7 @@ def _check_seqs(seqs) -> None:
     1.5 would be truncated, a bool is no sequence number, and a seq beyond
     64 bits would overflow or wrap."""
     for s in seqs:
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(f"seq must be an integer, got {s!r}")
+        s = json_number(s, "seq", integer=True)
         if not -(2**63) <= s < 2**63:
             raise ValueError(f"seq must be nonnegative and below 2**63, got {s}")
 
@@ -137,7 +136,9 @@ class ImpairmentSpec:
 
     Pareto jitter is the Lomax law scale * ((1 - u)**(-1/shape) - 1), whose
     mean scale/(shape - 1) is finite only for shape > 1; the default 1.5
-    leaves its variance infinite."""
+    leaves its variance infinite.  First, in field order, numbers must pass
+    :func:`json_number` (``rng_seed`` as an integer) and ``jitter_model``
+    :func:`json_string`, however the spec was built."""
 
     loss_prob: float
     base_delay_ms: float
@@ -150,14 +151,16 @@ class ImpairmentSpec:
     pareto_scale_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        check_finite(self)
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            value = (json_string(value, name) if name == "jitter_model"
+                     else json_number(value, name, integer=name == "rng_seed"))
+            object.__setattr__(self, name, value)
         for ok, message in (
             (0.0 <= self.loss_prob <= 1.0, "loss_prob must be within [0, 1]"),
             (self.base_delay_ms >= 0, "base_delay_ms must be >= 0"),
             (self.duration_s > 0, "duration_s must be > 0"),
             (self.packet_interval_ms > 0, "packet_interval_ms must be > 0"),
-            (isinstance(self.rng_seed, int) and not isinstance(self.rng_seed, bool),
-             "rng_seed must be an integer"),
             (self.jitter_model in JITTER_MODELS, f"jitter_model must be one of {JITTER_MODELS}"),
             (self.jitter_amplitude_ms >= 0, "jitter_amplitude_ms must be >= 0"),
             (self.pareto_shape > 1.0, "pareto_shape must be > 1"),
@@ -540,29 +543,27 @@ def _read_rows(path: str | Path):
 
 def spec_from_dict(data: dict) -> ImpairmentSpec:
     """Build a generator spec from its JSON layout, where jitter settings
-    nest as "jitter": {"model", "amplitude_ms", "shape", "scale_ms"}."""
+    nest as "jitter": {"model", "amplitude_ms", "shape", "scale_ms"};
+    :class:`ImpairmentSpec` checks the values."""
     if "rng_seed" not in json_object(data, "spec"):
         raise ValueError("spec is missing required field 'rng_seed'")
     jitter = data.get("jitter", {"model": "none"})
     if not isinstance(jitter, dict) or "model" not in jitter:
         raise ValueError("spec field 'jitter' must be an object with a 'model'")
     try:
-        fields = {
-            "loss_prob": data["loss_prob"],
-            "base_delay_ms": data["base_delay_ms"],
-            "duration_s": data["duration_s"],
-            "packet_interval_ms": data["packet_interval_ms"],
-            "jitter_amplitude_ms": jitter.get("amplitude_ms", 0.0),
-            "pareto_shape": jitter.get("shape", ImpairmentSpec.pareto_shape),
-            "pareto_scale_ms": jitter.get("scale_ms", 0.0),
-        }
+        return ImpairmentSpec(
+            loss_prob=data["loss_prob"],
+            base_delay_ms=data["base_delay_ms"],
+            duration_s=data["duration_s"],
+            packet_interval_ms=data["packet_interval_ms"],
+            rng_seed=data["rng_seed"],
+            jitter_model=jitter["model"],
+            jitter_amplitude_ms=jitter.get("amplitude_ms", 0.0),
+            pareto_shape=jitter.get("shape", ImpairmentSpec.pareto_shape),
+            pareto_scale_ms=jitter.get("scale_ms", 0.0),
+        )
     except KeyError as exc:
         raise ValueError(f"spec is missing required field {exc}") from exc
-    return ImpairmentSpec(
-        rng_seed=json_number(data["rng_seed"], "rng_seed", integer=True),
-        jitter_model=json_string(jitter["model"], "jitter_model"),
-        **{name: json_number(value, name) for name, value in fields.items()},
-    )
 
 
 @names_file

@@ -435,7 +435,7 @@ def test_weight_vector_validation():
         WeightVector(("a", "b"), (0.6, 0.5))
     with pytest.raises(ValueError, match="nonnegative"):
         WeightVector(("a", "b"), (1.2, -0.2))
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="weight must be a finite number, got nan"):
         WeightVector(("a", "b"), (math.nan, 0.5))
     # summed left to right, so the message reads the same on every Python
     # (a compensated sum() gives 0.9899999999999999 from 3.12 on)

@@ -518,9 +518,8 @@ def test_weights_json_printed_equals_weights_json_file(tmp_path, capsys):
     assert (printed + "\n").encode("utf-8") == (out_dir / "weights.json").read_bytes()
 
 
-def test_weights_opens_each_judgment_file_once(capsys, monkeypatch):
-    # the bytes read for parsing are the bytes hashed into the report
-    files = [*JUDGMENT_FILES, JUDGMENT_FILES[0]]  # a file given twice is read twice
+def run_counting_opens(capsys, monkeypatch, *argv):
+    """``run``'s exit code and stdout, and the paths ``open`` was given."""
     opened = []
     real_open = open
 
@@ -529,12 +528,31 @@ def test_weights_opens_each_judgment_file_once(capsys, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    code, out, _ = run(capsys, "ahp", "weights", *files, "--json")
+    code, out, _ = run(capsys, *argv)
     monkeypatch.undo()
+    return code, out, opened
+
+
+def test_weights_opens_each_judgment_file_once(capsys, monkeypatch):
+    # the bytes read for parsing are the bytes hashed into the report
+    files = [*JUDGMENT_FILES, JUDGMENT_FILES[0]]  # a file given twice is read twice
+    code, out, opened = run_counting_opens(
+        capsys, monkeypatch, "ahp", "weights", *files, "--json"
+    )
     assert code == 0
     assert [p for p in opened if p in files] == files
     stamped = json.loads(out[out.index("{\n") :])["inputs"]
     assert stamped == [{"path": p, "sha256": sha256_file(p)} for p in files]
+
+
+def test_weights_opens_the_matrix_file_once(capsys, monkeypatch):
+    code, out, opened = run_counting_opens(
+        capsys, monkeypatch, "ahp", "weights", "--matrix", MATRIX_CSV, "--json"
+    )
+    assert code == 0
+    assert opened.count(MATRIX_CSV) == 1
+    stamped = json.loads(out[out.index("{\n") :])["inputs"]
+    assert stamped == [{"path": MATRIX_CSV, "sha256": sha256_file(MATRIX_CSV)}]
 
 
 def test_weights_methods_agree_on_consistent_judgments(tmp_path, capsys):

@@ -1,13 +1,14 @@
 import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from qoekit import (
     G729,
     CodecProfile,
+    WeightVector,
     delay_impairment,
     jitter_impairment,
     load_profile,
@@ -15,6 +16,7 @@ from qoekit import (
     mos_from_r,
 )
 from qoekit.emodel import DELAY_KNEE_MS, profile_from_dict
+from qoekit.trace import spec_from_dict
 
 
 #: G.729 in the profile JSON layout, with every optional jitter field given.
@@ -27,6 +29,36 @@ G729_DOCUMENT = {
         "h": 0.6, "t_ms": 40.0, "k": 30.0,
     },
 }
+
+
+#: Where each CodecProfile number sits in the profile JSON layout.
+PROFILE_PATHS = {
+    "r0": ("r0",), "loss_a": ("loss", "a"), "loss_b": ("loss", "b"),
+    "loss_c": ("loss", "c"), "jitter_c1": ("jitter", "c1"),
+    "jitter_c2": ("jitter", "c2"), "jitter_c3": ("jitter", "c3"),
+    "jitter_c4": ("jitter", "c4"), "pareto_h": ("jitter", "h"),
+    "jitter_t_ms": ("jitter", "t_ms"), "jitter_k": ("jitter", "k"),
+}
+
+#: A Pareto generator spec in its JSON layout, every field given, and where
+#: each ImpairmentSpec number sits in it.
+SPEC_DOCUMENT = {
+    "loss_prob": 0.0, "base_delay_ms": 80.0, "duration_s": 1.0,
+    "packet_interval_ms": 20.0, "rng_seed": 3,
+    "jitter": {"model": "pareto", "amplitude_ms": 0.0, "shape": 1.5, "scale_ms": 5.0},
+}
+SPEC_PATHS = {
+    "loss_prob": ("loss_prob",), "base_delay_ms": ("base_delay_ms",),
+    "duration_s": ("duration_s",), "packet_interval_ms": ("packet_interval_ms",),
+    "rng_seed": ("rng_seed",), "jitter_amplitude_ms": ("jitter", "amplitude_ms"),
+    "pareto_shape": ("jitter", "shape"), "pareto_scale_ms": ("jitter", "scale_ms"),
+}
+
+
+def refusal(build) -> str:
+    with pytest.raises(ValueError) as exc:
+        build()
+    return str(exc.value)
 
 
 def zeroed_jitter_profile(**overrides):
@@ -176,13 +208,48 @@ def test_profile_validation():
         zeroed_jitter_profile(jitter_t_ms=-1.0)
     with pytest.raises(ValueError, match="jitter_k"):
         zeroed_jitter_profile(jitter_k=0.0)
-    # every float field must be finite; NaN passes a one-sided range check
+    # every numeric field must be finite; NaN passes a one-sided range check
     for field, value in (
         ("jitter_t_ms", math.nan), ("jitter_t_ms", math.inf),
         ("jitter_k", math.nan), ("jitter_k", math.inf), ("loss_b", -math.inf),
     ):
-        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number, got {value}"):
             zeroed_jitter_profile(**{field: value})
+
+
+def with_value(document: dict, path: tuple[str, ...], value) -> dict:
+    """A deep copy of ``document`` with ``value`` at ``path``."""
+    document = copy.deepcopy(document)
+    *blocks, key = path
+    inner = document
+    for block in blocks:
+        inner = inner[block]
+    inner[key] = value
+    return document
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, None, "1", math.nan, math.inf, -math.inf]
+)
+def test_numeric_fields_refuse_a_non_number_however_built(value):
+    # one rule, json_number, for a value built in code and one read from JSON
+    assert [f.name for f in fields(CodecProfile)][1:] == list(PROFILE_PATHS)
+    for name, path in PROFILE_PATHS.items():
+        message = f"{name} must be a finite number, got {value!r}"
+        assert refusal(lambda: replace(G729, **{name: value})) == message
+        document = with_value(G729_DOCUMENT, path, value)
+        assert refusal(lambda: profile_from_dict(document)) == message
+    spec = spec_from_dict(SPEC_DOCUMENT)
+    assert {f.name for f in fields(spec)} - set(SPEC_PATHS) == {"jitter_model"}
+    for name, path in SPEC_PATHS.items():
+        kind = "an integer" if name == "rng_seed" else "a finite number"
+        message = f"{name} must be {kind}, got {value!r}"
+        assert refusal(lambda: replace(spec, **{name: value})) == message
+        document = with_value(SPEC_DOCUMENT, path, value)
+        assert refusal(lambda: spec_from_dict(document)) == message
+    message = f"weight must be a finite number, got {value!r}"
+    for values in ((value, 0.5), (0.5, value)):
+        assert refusal(lambda: WeightVector(("a", "b"), values)) == message
 
 
 def test_profile_json_roundtrip(tmp_path):

@@ -316,6 +316,17 @@ def test_generate_pareto_delays_nonnegative_and_heavy():
     assert max(d - 50.0 for d in delays) > 20.0  # heavy tail shows up
 
 
+def test_numpy_integer_seed_is_the_same_seed():
+    settings = dict(loss_prob=0.1, jitter_model="uniform", jitter_amplitude_ms=20.0)
+    spec = uniform_spec(**settings, rng_seed=np.int64(3))
+    assert type(spec.rng_seed) is int
+    assert_same_packets(generate(spec), generate(uniform_spec(**settings, rng_seed=3)))
+    for seed in (True, np.True_):  # a bool would seed like 1
+        with pytest.raises(ValueError) as exc:
+            uniform_spec(rng_seed=seed)
+        assert str(exc.value) == f"rng_seed must be an integer, got {seed!r}"
+
+
 def test_impairment_spec_validation_names_fields():
     with pytest.raises(ValueError, match="loss_prob"):
         uniform_spec(loss_prob=1.5)
@@ -328,9 +339,9 @@ def test_impairment_spec_validation_names_fields():
         uniform_spec(rng_seed=True)  # a bool would seed like 1
     with pytest.raises(ValueError, match="jitter_model"):
         uniform_spec(jitter_model="gauss")
-    with pytest.raises(ValueError, match="duration_s must be finite"):
+    with pytest.raises(ValueError, match="duration_s must be a finite number, got inf"):
         uniform_spec(duration_s=float("inf"))
-    with pytest.raises(ValueError, match="jitter_amplitude_ms must be finite"):
+    with pytest.raises(ValueError, match="jitter_amplitude_ms must be a finite number, got inf"):
         uniform_spec(jitter_model="uniform", jitter_amplitude_ms=float("inf"))
     with pytest.raises(ValueError, match="rng_seed"):
         spec_from_dict(
