@@ -349,7 +349,7 @@ def cmd_mos(args: argparse.Namespace) -> int:
     payload = {
         "model": model.name,
         "profile": profile.name,
-        "sample": asdict(sample),
+        "sample": sample._asdict(),
         "r_factors": r_factors,
         "mos": {**{c: mos[c] for c in model.criteria}, "overall": overall},
     }
@@ -464,7 +464,7 @@ def cmd_trace_analyze(args: argparse.Namespace) -> int:
         # a lookup and no template.
         rows, values, lines, cells, seen = [], [], [], [], {}
         for wid, sample, expected, lost, received, start, end, partial in block:
-            loss, delay, jitter = sample.loss_pct, sample.delay_ms, sample.jitter_ms
+            loss, delay, jitter = sample
             mos, r_factors = composite.component_mos(sample, profile)
             m_overall = composite.combine(model, mos)
             r_loss, r_delay, r_jitter = r_factors["loss"], r_factors["delay"], r_factors["jitter"]

@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .ahp import WEIGHT_SUM_TOL, WeightVector
 from .emodel import (
@@ -41,9 +42,8 @@ MODEL_SCALES = ("mos-5pt", "normalized-score")
 WEIGHT_SUM_RENORM = 0.02
 
 
-@dataclass(frozen=True, slots=True)
-class QosSample:
-    """Measured loss/delay/jitter for one observation window.
+class QosSample(NamedTuple):
+    """Measured loss/delay/jitter of one window; :func:`component_mos` checks it.
 
     ``delay_ms`` or ``jitter_ms`` may be None when a window had too few
     received packets to measure them; scoring then floors those
@@ -53,15 +53,6 @@ class QosSample:
     loss_pct: float
     delay_ms: float | None
     jitter_ms: float | None
-
-    def __post_init__(self) -> None:
-        # NaN fails every comparison, so test for the valid range
-        if not 0.0 <= self.loss_pct <= 100.0:
-            raise ValueError(f"loss_pct must be within [0, 100], got {self.loss_pct}")
-        if self.delay_ms is not None and not 0.0 <= self.delay_ms < math.inf:
-            raise ValueError(f"delay_ms must be finite and >= 0, got {self.delay_ms}")
-        if self.jitter_ms is not None and not 0.0 <= self.jitter_ms < math.inf:
-            raise ValueError(f"jitter_ms must be finite and >= 0, got {self.jitter_ms}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +167,9 @@ def component_mos(
     impairment only, then converts to MOS.  Returns the MOS and the
     transmission rating R per criterion.  Components whose measurement
     is unavailable (None delay/jitter from a degenerate window) floor at
-    MOS 1.0, with R None, so windowed timelines stay contiguous.
+    MOS 1.0, with R None, so windowed timelines stay contiguous.  The one
+    check of a :class:`QosSample`: each measured field, in field order, must
+    be a :func:`json_number` in its range, else a ValueError names it.
 
     The jitter term takes no measured-jitter input of its own.  Measured
     jitter raises the buffer parameter, ``t_ms = max(t_ms, jitter_ms)``
@@ -185,10 +178,14 @@ def component_mos(
     jitter beyond the buffer raises the jitter component.
     """
     r0 = profile.r0
-    loss = r0 - loss_impairment(sample.loss_pct, profile)
-    delay, jitter = sample.delay_ms, sample.jitter_ms
+    loss_pct, delay, jitter = sample
+    loss = r0 - loss_impairment(loss_pct, profile)
     if delay is not None:
         delay = r0 - delay_impairment(delay)
+    if jitter is not None:  # checked before the buffer test, which NaN fails
+        jitter = jitter if type(jitter) is float else json_number(jitter, "jitter_ms")
+        if not 0.0 <= jitter < math.inf:
+            raise ValueError(f"jitter_ms must be finite and >= 0, got {jitter}")
     if jitter is None:
         m_jitter = MOS_MIN
     elif jitter > profile.jitter_t_ms:  # the buffer-floor max(t_ms, jitter_ms)

@@ -41,6 +41,16 @@ def json_number(value, field: str, integer: bool = False) -> float | int:
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 
+def json_string(value, field: str, many: bool = False) -> str | tuple[str, ...]:
+    """A JSON string (a tuple of them from a JSON list or a tuple, with
+    ``many``), else a ValueError naming ``field``: numbers, null and a lone
+    string for a list fail."""
+    kind, cls = ("a list of strings", (list, tuple)) if many else ("a string", str)
+    if not isinstance(value, cls) or many and not all(isinstance(v, str) for v in value):
+        raise ValueError(f"{field} must be {kind}, got {value!r}")
+    return tuple(value) if many else value
+
+
 @dataclass(frozen=True)
 class CodecProfile:
     """Constant set specializing the rating model to one codec.
@@ -54,7 +64,7 @@ class CodecProfile:
     term.  So a negative ``loss_a``, ``loss_b`` or ``jitter_c4``, a
     ``loss_c`` at or below 0 and a negative jitter baseline
     ``jitter_c1*h**2 + jitter_c2*h + jitter_c3`` are rejected.  First, in
-    field order, each constant must pass :func:`json_number`, however built.
+    field order, fields pass :func:`json_string` (name) or :func:`json_number`.
     """
 
     name: str
@@ -71,6 +81,7 @@ class CodecProfile:
     jitter_k: float = 30.0
 
     def __post_init__(self) -> None:
+        json_string(self.name, "name")
         for f in fields(self)[1:]:  # every field but the name
             object.__setattr__(self, f.name, json_number(getattr(self, f.name), f.name))
         h = self.pareto_h
@@ -122,6 +133,7 @@ def delay_impairment(delay_ms: float) -> float:
 
     Linear at 0.024/ms, with an extra 0.11/ms beyond the 177.3 ms knee.
     """
+    delay_ms = delay_ms if type(delay_ms) is float else json_number(delay_ms, "delay_ms")
     if not 0.0 <= delay_ms < math.inf:  # NaN fails every comparison
         raise ValueError(f"delay_ms must be finite and >= 0, got {delay_ms}")
     excess = delay_ms - DELAY_KNEE_MS
@@ -134,6 +146,7 @@ def loss_impairment(loss_pct: float, profile: CodecProfile = G729) -> float:
     Equals ``loss_a`` at zero loss (the codec's intrinsic penalty) and
     grows logarithmically with the loss fraction.
     """
+    loss_pct = loss_pct if type(loss_pct) is float else json_number(loss_pct, "loss_pct")
     if not 0.0 <= loss_pct <= 100.0:
         raise ValueError(f"loss_pct must be within [0, 100], got {loss_pct}")
     return profile.loss_a + profile.loss_b * math.log(
@@ -214,16 +227,6 @@ def read_json(path: str | Path, what: str, data: bytes | None = None):
             raise ValueError(f"invalid {what} JSON: {exc}") from exc
 
 
-def json_string(value, field: str, many: bool = False) -> str | tuple[str, ...]:
-    """A JSON string (a tuple of them from a JSON list or a tuple, with
-    ``many``), else a ValueError naming ``field``: numbers, null and a lone
-    string for a list fail."""
-    kind, cls = ("a list of strings", (list, tuple)) if many else ("a string", str)
-    if not isinstance(value, cls) or many and not all(isinstance(v, str) for v in value):
-        raise ValueError(f"{field} must be {kind}, got {value!r}")
-    return tuple(value) if many else value
-
-
 def json_object(value, field: str) -> dict:
     """``value`` if it is a JSON object, else a ValueError naming ``field``."""
     if not isinstance(value, dict):
@@ -233,7 +236,7 @@ def json_object(value, field: str) -> dict:
 
 def profile_from_dict(data: dict) -> CodecProfile:
     """Build a profile from the JSON layout {name, r0, loss:{...}, jitter:{...}};
-    :class:`CodecProfile` checks the numbers."""
+    :class:`CodecProfile` checks the name and the numbers."""
     json_object(data, "profile")
     try:
         loss = json_object(data["loss"], "profile field loss")
@@ -250,11 +253,11 @@ def profile_from_dict(data: dict) -> CodecProfile:
             "pareto_h": jitter.get("h", G729.pareto_h),
             "jitter_t_ms": jitter.get("t_ms", G729.jitter_t_ms),
             "jitter_k": jitter.get("k", G729.jitter_k),
+            "name": data["name"],
         }
-        name = json_string(data["name"], "profile field name")
     except KeyError as exc:
         raise ValueError(f"profile is missing required field {exc}") from exc
-    profile = CodecProfile(name, **constants)
+    profile = CodecProfile(**constants)
     # Finite coefficients can still overflow a term to a non-finite rating.
     # The loss term grows with loss_pct and the jitter term falls with t_ms,
     # so one that overflows anywhere does so at 100% loss or at the

@@ -1431,7 +1431,8 @@ def test_analyze_without_out_renders_no_report_rows(tmp_path, capsys, monkeypatc
 
 
 def test_analyze_rejects_non_finite_row_value_before_printing(tmp_path, capsys, monkeypatch):
-    # no valid input reaches it: the kernel and QosSample pass finite values only
+    # no valid input reaches it: the kernel makes finite samples, and component_mos
+    # refuses a non-finite one
     trace_csv = floored_partial_trace(tmp_path / "trace.csv")
     monkeypatch.setattr(cli.composite, "combine", lambda model, mos: float("nan"))
     report = tmp_path / "report.json"

@@ -49,14 +49,26 @@ PROPERTY_SETTINGS = settings(max_examples=200, deadline=None)
 
 
 def test_qos_sample_validation():
-    with pytest.raises(ValueError, match="loss_pct"):
-        QosSample(101.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="delay_ms"):
-        QosSample(0.0, -1.0, 0.0)
-    with pytest.raises(ValueError, match="jitter_ms"):
-        QosSample(0.0, 0.0, -1.0)
+    # a sample is a plain record; component_mos, and so score, checks it
+    assert QosSample(101.0, 0.0, 0.0).loss_pct == 101.0
+    cases = [
+        (QosSample(101.0, 0.0, 0.0), "loss_pct must be within [0, 100], got 101.0"),
+        (QosSample(0.0, -1.0, 0.0), "delay_ms must be finite and >= 0, got -1.0"),
+        (QosSample(0.0, 0.0, -1.0), "jitter_ms must be finite and >= 0, got -1.0"),
+    ]
+    for k, field in enumerate(QosSample._fields):  # the number rule, in each field
+        for bad in (True, False, "1"):
+            values = [0.0, 0.0, 0.0]
+            values[k] = bad
+            cases.append((QosSample(*values), f"{field} must be a finite number, got {bad!r}"))
+    for sample, message in cases:
+        with pytest.raises(ValueError) as caught:
+            component_mos(sample, G729)
+        assert str(caught.value) == message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            score(sample, PAPER, G729)
     # None marks an unavailable measurement, not an error
-    QosSample(100.0, None, None)
+    component_mos(QosSample(100.0, None, None), G729)
 
 
 # ---------------------------------------------------------------------------

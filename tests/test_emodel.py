@@ -104,6 +104,13 @@ def test_point_functions_reject_non_finite_input(value):
             mos_from_r(value)
 
 
+@pytest.mark.parametrize("value", [True, "1"])
+def test_sample_terms_refuse_a_non_number(value):
+    # the number rule of a sample field, checked where its range is
+    for term, field in ((loss_impairment, "loss_pct"), (delay_impairment, "delay_ms")):
+        assert refusal(lambda: term(value)) == f"{field} must be a finite number, got {value!r}"
+
+
 def test_point_functions_keep_their_edge_values():
     assert delay_impairment(0.0) == delay_impairment(-0.0) == 0.0
     assert jitter_impairment(G729, 0.0) == jitter_impairment(G729, -0.0)
@@ -252,6 +259,15 @@ def test_numeric_fields_refuse_a_non_number_however_built(value):
         assert refusal(lambda: WeightVector(("a", "b"), values)) == message
 
 
+def test_profile_name_refuses_a_non_string_however_built():
+    # the JSON path's refusal is in test_profile_json_missing_field
+    assert refusal(lambda: replace(G729, name=5)) == "name must be a string, got 5"
+    document = {k: v for k, v in G729_DOCUMENT.items() if k != "name"}
+    assert refusal(lambda: profile_from_dict(document)) == (
+        "profile is missing required field 'name'"
+    )
+
+
 def test_profile_json_roundtrip(tmp_path):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(G729_DOCUMENT))
@@ -268,7 +284,7 @@ def test_profile_json_missing_field(tmp_path):
         ({**G729_DOCUMENT, "loss": [11, 40, 10]}, "profile field loss must be a JSON"),
         ({**G729_DOCUMENT, "jitter": 0.6}, "profile field jitter must be a JSON"),
         ([G729_DOCUMENT], "profile must be a JSON object, got list"),
-        ({**G729_DOCUMENT, "name": 729}, "profile field name must be a string, got 729"),
+        ({**G729_DOCUMENT, "name": 729}, ": name must be a string, got 729$"),
     ):
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):

@@ -98,6 +98,11 @@ def test_windows_equal_scalar_oracle(trace, window_len_s, estimator):
         assert g.sample.loss_pct == w.loss_pct
         assert g.sample.delay_ms == w.delay_ms
         assert close(g.sample.jitter_ms, w.jitter_ms), (g.sample.jitter_ms, w.jitter_ms)
+        # in range: windows() builds its samples unchecked
+        loss, delay, jitter = g.sample
+        assert 0.0 <= loss <= 100.0, g.sample
+        for value in (delay, jitter):
+            assert value is None or 0.0 <= value < math.inf, g.sample
 
 
 @PROPERTY_SETTINGS
