@@ -27,7 +27,7 @@ ANALYZE = [*QOEKIT, "trace", "analyze", "trace10h.csv", "--window"]
 #: name, argv, bound on peak RSS in MB, and the stdout required (None: any)
 CASES = [
     ("trace gen", [*QOEKIT, "trace", "gen", "spec10h.json", "--out", "trace10h.csv"],
-     249, None),
+     229, None),
     ("read_trace", [sys.executable, "-c", READ, "trace10h.csv"], 150, "1800000\n"),
     ("trace analyze --window 10", [*ANALYZE, "10"], 160, None),
     ("trace analyze --window 0.2 --out --csv",

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 
 MOS_MIN = 1.0
@@ -31,13 +31,18 @@ PARETO_H_MAX = 0.9
 
 def json_number(value, field: str, integer: bool = False) -> float | int:
     """The one number rule, for JSON input and values built in code: a finite
-    int or float as float (with ``integer``, any integral number, numpy's
-    too, as int), else a ValueError naming ``field``: bools and None fail."""
-    kind, types = (("an integer", (int, Integral)) if integer  # int first: the ABC is slow
-                   else ("a finite number", (float, int)))
+    real number, numpy's too, as float (with ``integer``, any integral
+    number as int), else a ValueError naming ``field``: bools and None fail."""
+    kind, types = (("an integer", (int, Integral)) if integer  # the ABC last: it is slow
+                   else ("a finite number", (float, int, Real)))
     if isinstance(value, types) and not isinstance(value, bool):
-        if integer or abs(value) <= sys.float_info.max:  # NaN compares false
-            return int(value) if integer else float(value)
+        if integer:
+            return int(value)
+        try:  # float() first: a longdouble beyond float's range becomes inf
+            if abs(number := float(value)) <= sys.float_info.max:  # NaN compares false
+                return number
+        except OverflowError:  # an int beyond float's range
+            pass
     raise ValueError(f"{field} must be {kind}, got {value!r}")
 
 

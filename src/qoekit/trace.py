@@ -13,7 +13,6 @@ import array
 import csv
 import io
 import math
-import random
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, fields
@@ -333,35 +332,17 @@ def windows(
     return list(map(WindowMetrics._make, zip(*columns)))
 
 
-#: Packets decoded per block of draws in :func:`generate`; bounds its
-#: temporaries.
+#: Packets drawn per block in :func:`generate`; bounds its temporaries.
 _GEN_BLOCK = 1 << 16
-
-
-def _mersenne_twister(seed: int) -> np.random.MT19937:
-    """numpy's MT19937 on the state that ``random.Random(seed)`` seeds."""
-    bits, key = np.random.MT19937(), random.Random(seed).getstate()[1]
-    bits.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(key[:-1], np.uint32), "pos": key[-1]},
-    }
-    return bits
-
-
-def _random_doubles(bits: np.random.MT19937, n: int) -> np.ndarray:
-    """The next ``n`` values of CPython's ``random()`` on the state ``bits``:
-    a 53-bit fraction from the top 27 and 26 bits of two 32-bit words."""
-    a, b = bits.random_raw(2 * n).reshape(n, 2).T
-    return ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0
 
 
 def generate(spec: ImpairmentSpec) -> Trace:
     """Generate a trace at fixed cadence with independent loss and jitter.
 
-    Per packet, one loss draw and then, if received, one jitter draw; the
-    delay is base plus jitter, truncated at zero.  The draws are those of
-    ``random.Random(spec.rng_seed)``, taken in blocks from numpy's MT19937
-    on the same state, so the trace is the one a per-packet loop gives.
+    Loss and jitter each draw from their own numpy stream, spawned from
+    ``SeedSequence(abs(spec.rng_seed))``: one uniform double per packet
+    from each, lost or not.  A packet is lost when its loss draw is below
+    ``loss_prob``; else its delay is base plus jitter, truncated at zero.
     """
     packets = spec.duration_s * 1000.0 / spec.packet_interval_ms
     too_many = (
@@ -379,37 +360,21 @@ def generate(spec: ImpairmentSpec) -> Trace:
         recv = np.empty(count)
     except (MemoryError, ValueError):  # numpy's ValueError: beyond its sizes
         raise ValueError(too_many) from None
-    bits = _mersenne_twister(spec.rng_seed)
+    streams = np.random.SeedSequence(abs(spec.rng_seed)).spawn(2)
+    loss_rng, jitter_rng = map(np.random.default_rng, streams)
     loss, base, amplitude = spec.loss_prob, spec.base_delay_ms, spec.jitter_amplitude_ms
     scale, power = spec.pareto_scale_ms, -1.0 / spec.pareto_shape
     jitter = {
+        "none": lambda u: 0.0,
         "uniform": lambda u: -amplitude + (amplitude - -amplitude) * u,
         # 1 - u is in (0, 1]; Python's pow per element, as np.power can
         # differ from it in the last bit
-        "pareto": lambda u: scale * (
-            np.array([x**power for x in (1.0 - u).tolist()]) - 1.0
-        ),
-    }.get(spec.jitter_model)
-    u = np.empty(0)
+        "pareto": lambda u: scale * (np.array([x**power for x in (1.0 - u).tolist()]) - 1.0),
+    }[spec.jitter_model]
     for start in range(0, count, _GEN_BLOCK):
         block = recv[start : start + _GEN_BLOCK]
-        if jitter is None:  # each draw is a packet's loss draw
-            u = _random_doubles(bits, len(block))
-            block[:] = np.where(u < loss, math.nan, base)
-            continue
-        # A packet takes at most two draws, so 2 per packet decode the block
-        # and the rest carry over: the next block starts at a loss draw.
-        # The first draw and each draw after one below loss is a loss draw;
-        # in the run of draws >= loss that follows, loss (packet kept) and
-        # jitter draws alternate.
-        u = np.concatenate([u, _random_doubles(bits, max(2 * len(block) - len(u), 0))])
-        j = np.arange(len(u))
-        run_start = np.maximum.accumulate(np.where(np.append(True, u[:-1] < loss), j, 0))
-        at = np.flatnonzero((j - run_start) % 2 == 0)[: len(block)]
-        kept = u[at] >= loss
-        block[:] = math.nan
-        block[kept] = np.maximum(base + jitter(u[at[kept] + 1]), 0.0)
-        u = u[at[-1] + 1 + kept[-1] :]
+        block[:] = np.maximum(base + jitter(jitter_rng.random(len(block))), 0.0)
+        block[loss_rng.random(len(block)) < loss] = math.nan
     send *= spec.packet_interval_ms
     recv += send
     return Trace(columns=(seq, send, recv))

@@ -35,7 +35,7 @@ from qoekit import cli
 HERE = Path(__file__).parent
 
 #: Generator specs by file name: every jitter model, a seed beyond 64 bits
-#: and a negative one, and a loss probability of 0 (a draw pair per packet).
+#: and a negative one, and a loss probability of 0 (no packet lost).
 SPECS = {
     "spec.json": {
         "loss_prob": 0.03, "base_delay_ms": 80.0, "duration_s": 20.0,

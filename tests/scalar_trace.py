@@ -5,13 +5,12 @@ This is the per-packet implementation that ``qoekit.trace`` used before
 it held traces as numpy columns and drew its random numbers in blocks,
 kept only as an oracle for the property tests.  The metrics work on a
 trace's :func:`rows`, one ``Packet`` per row, and run the RFC 3550
-recursion step by step; :func:`generate` makes its ``random.Random``
-draws one packet at a time.
+recursion step by step; :func:`generate` takes its two streams' draws
+one packet at a time.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -129,24 +128,28 @@ def windows(packets, window_len_s, jitter_estimator="rfc3550", interval_ms=None)
 
 
 def generate(spec):
-    """Per packet, one loss draw and then, if received, one jitter draw;
-    the delay is base plus jitter, truncated at zero."""
+    """Per packet, one loss draw and one jitter draw, each from its own
+    stream; a received packet's delay is base plus jitter, truncated at
+    zero."""
     count = int(round(spec.duration_s * 1000.0 / spec.packet_interval_ms))
     if count < 1:
         raise ValueError("duration_s and packet_interval_ms yield an empty trace")
-    rng = random.Random(spec.rng_seed)
-    rand, amplitude = rng.random, spec.jitter_amplitude_ms
-    scale, power = spec.pareto_scale_ms, -1.0 / spec.pareto_shape
+    streams = np.random.SeedSequence(abs(spec.rng_seed)).spawn(2)
+    loss_draw, jitter_draw = (np.random.default_rng(s).random for s in streams)
+    amplitude, scale, power = (
+        spec.jitter_amplitude_ms, spec.pareto_scale_ms, -1.0 / spec.pareto_shape
+    )
     draw = {
-        "none": lambda: 0.0,
-        "uniform": lambda: rng.uniform(-amplitude, amplitude),
-        # 1 - random() is in (0, 1]; guards against u = 0
-        "pareto": lambda: scale * ((1.0 - rand()) ** power - 1.0),
+        "none": lambda u: 0.0,
+        "uniform": lambda u: -amplitude + (amplitude - -amplitude) * u,
+        # 1 - u is in (0, 1]; guards against u = 0
+        "pareto": lambda u: scale * ((1.0 - u) ** power - 1.0),
     }[spec.jitter_model]
     loss, base, nan = spec.loss_prob, spec.base_delay_ms, math.nan
-    delays = np.fromiter(
-        (nan if rand() < loss else max(base + draw(), 0.0) for _ in range(count)),
-        np.float64, count,
-    )
+    delays = []
+    for _ in range(count):
+        lost = loss_draw() < loss
+        delay = max(base + draw(jitter_draw()), 0.0)
+        delays.append(nan if lost else delay)
     send = np.arange(count, dtype=np.float64) * spec.packet_interval_ms
-    return Trace(columns=(np.arange(1, count + 1), send, send + delays))
+    return Trace(columns=(np.arange(1, count + 1), send, send + np.array(delays)))

@@ -57,7 +57,7 @@ def test_qos_sample_validation():
         (QosSample(0.0, 0.0, -1.0), "jitter_ms must be finite and >= 0, got -1.0"),
     ]
     for k, field in enumerate(QosSample._fields):  # the number rule, in each field
-        for bad in (True, False, "1"):
+        for bad in (True, False, "1", np.float32("nan"), np.longdouble("1e400")):
             values = [0.0, 0.0, 0.0]
             values[k] = bad
             cases.append((QosSample(*values), f"{field} must be a finite number, got {bad!r}"))
@@ -69,6 +69,17 @@ def test_qos_sample_validation():
             score(sample, PAPER, G729)
     # None marks an unavailable measurement, not an error
     component_mos(QosSample(100.0, None, None), G729)
+
+
+@pytest.mark.parametrize("field", QosSample._fields)
+def test_component_mos_takes_numpy_numbers_in_a_sample(field):
+    # a numpy number passes json_number as the float of its value
+    def sample(value):
+        values = {"loss_pct": 1.0, "delay_ms": 80.0, "jitter_ms": 10.0, field: value}
+        return QosSample(**values)
+
+    for given_value, value in ((np.float32(0.5), 0.5), (np.int64(3), 3.0)):
+        assert component_mos(sample(given_value), G729) == component_mos(sample(value), G729)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,7 @@ from qoekit import (
     read_trace,
     windows,
 )
-from qoekit.trace import (
-    _mersenne_twister, _random_doubles, spec_from_dict, trace_to_csv_text, window_metrics,
-)
+from qoekit.trace import spec_from_dict, trace_to_csv_text, window_metrics
 
 
 def make_trace(delays, interval_ms=20.0, start_seq=1):
@@ -102,8 +100,6 @@ def test_jitter_rfc3550_alternating_delays_matches_replay_oracle():
 
 
 def test_jitter_rfc3550_nonnegative():
-    import random
-
     rng = random.Random(4)
     delays = [100 + rng.uniform(-40, 40) for _ in range(200)]
     assert jitter_rfc3550(make_trace(delays)) >= 0.0
@@ -274,15 +270,6 @@ def test_generate_total_loss():
     trace = generate(uniform_spec(loss_prob=1.0, duration_s=2.0))
     assert np.isnan(trace.recv).all()
     assert loss_rate(trace) == 100.0
-
-
-@pytest.mark.parametrize("seed", [0, 1, -7, 2**64 + 3])
-def test_random_doubles_continue_the_seeded_random_stream(seed):
-    # two blocks of 500 draws take 2,000 words, past the 624-word state
-    bits = _mersenne_twister(seed)
-    got = np.concatenate([_random_doubles(bits, 500), _random_doubles(bits, 500)])
-    rng = random.Random(seed)
-    assert got.tolist() == [rng.random() for _ in range(1000)]
 
 
 def test_generate_loss_rate_concentrates():

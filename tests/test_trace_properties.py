@@ -9,6 +9,7 @@ bulk reader.
 """
 import math
 import tempfile
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 from types import SimpleNamespace
@@ -360,8 +361,22 @@ def specs(draw):
 @PROPERTY_SETTINGS
 @given(spec=specs(), block=st.sampled_from([1, 2, 7, 64, trace_module._GEN_BLOCK]))
 def test_generate_equals_scalar_generator(spec, block):
-    # small blocks put many block boundaries, and their carried draws,
-    # inside one short trace
+    # small blocks put many block boundaries inside one short trace
     with mock.patch.object(trace_module, "_GEN_BLOCK", block):
         got = outcome(generate, spec)
     assert_same_outcome(got, outcome(oracle.generate, spec))
+
+
+@PROPERTY_SETTINGS
+@given(spec=specs(), loss_prob=st.floats(0.0, 1.0))
+def test_generate_draws_loss_and_jitter_from_separate_streams(spec, loss_prob):
+    # more loss only drops packets: each packet still received keeps its
+    # receive time, as its jitter draw does not depend on the loss draws
+    got = outcome(generate, spec)
+    if got[0] == "error":
+        return
+    lossier = generate(replace(spec, loss_prob=max(spec.loss_prob, loss_prob)))
+    kept = ~np.isnan(lossier.recv)
+    assert lossier.recv[kept].tobytes() == got[1].recv[kept].tobytes()
+    # seeds s and -s give one trace
+    assert_same_outcome(("ok", generate(replace(spec, rng_seed=-spec.rng_seed))), got)
