@@ -6,9 +6,11 @@ Every case of ``tests/data/golden/make_golden.py`` runs, in its order, as
 byte for byte, its stdout included.  Two variants of the
 ``analyze-gen-0.2s-rfc3550`` case follow: on an LF-only copy of the trace
 and on one with a blank line appended, the table and stdout match the
-golden ones and the report differs only in its ``"sha256"`` line.  Last, a
-generator spec without ``rng_seed`` must exit 2 with an error that names
-the spec.
+golden ones and the report differs only in its ``"sha256"`` line.  Last,
+three inputs must be refused with exit 2: a generator spec without
+``rng_seed``, with an error that names the spec; a judgment file named
+twice, with an error that names its evaluator; and ``ahp elicit`` with an
+empty criterion label, with nothing on stdout (no prompt printed).
 
 Run it from anywhere, with ``qoekit`` on PATH and importable:
 
@@ -89,6 +91,33 @@ def run_seedless(qoekit: str, tmp: Path) -> list[str]:
     return [] if ok else [f"exit {proc.returncode}, want 2 and an error naming {spec}"]
 
 
+def run_repeated_evaluator(qoekit: str) -> list[str]:
+    """``ahp weights`` of one judgment file named twice: exit 2, naming its
+    evaluator."""
+    e1 = DATA / "judgments" / "e1.json"
+    proc = subprocess.run(
+        [qoekit, "ahp", "weights", str(e1), str(e1)],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    print(proc.stderr, end="")
+    ok = proc.returncode == 2 and proc.stdout == "" and "'e1'" in proc.stderr
+    return [] if ok else [f"exit {proc.returncode}, want 2 and an error naming 'e1'"]
+
+
+def run_empty_label(qoekit: str, tmp: Path) -> list[str]:
+    """``ahp elicit --criteria "" b``: exit 2 before the first prompt."""
+    answers = tmp / "answers.txt"
+    answers.write_text("3\n", encoding="utf-8")
+    proc = subprocess.run(
+        [qoekit, "ahp", "elicit", "--criteria", "", "b", "--evaluator-id", "e",
+         "--answers", str(answers), "--out", str(tmp / "elicited.json")],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+    )
+    print(proc.stderr, end="")
+    ok = proc.returncode == 2 and proc.stdout == ""
+    return [] if ok else [f"exit {proc.returncode}, stdout {proc.stdout!r}; want 2 and none"]
+
+
 def checks(qoekit: str, tmp: Path):
     """(label, reasons it failed) of each check, in order, run under ``tmp``."""
     work = shutil.copytree(DATA, tmp / "data") / "golden"
@@ -100,6 +129,8 @@ def checks(qoekit: str, tmp: Path):
         work = shutil.copytree(DATA, tmp / f"variant-{k}") / "golden"
         yield f"{VARIANT_CASE} on the trace, {label}", run_variant(qoekit, work, variant)
     yield "trace gen of a spec without rng_seed", run_seedless(qoekit, tmp)
+    yield "ahp weights of a judgment file named twice", run_repeated_evaluator(qoekit)
+    yield "ahp elicit with an empty criterion label", run_empty_label(qoekit, tmp)
 
 
 def main() -> int:

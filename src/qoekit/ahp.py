@@ -45,26 +45,29 @@ AGGREGATION_METHODS = ("arithmetic-mean", "geometric-mean")
 WEIGHT_METHODS = ("column-average", "eigenvector")
 
 
-def _check_criteria(criteria: tuple[str, ...]) -> None:
+def _check_criteria(criteria) -> tuple[str, ...]:
+    """The one criteria rule: a :func:`json_string` list of unique, non-empty
+    labels that UTF-8 can encode, returned as a tuple."""
+    criteria = json_string(criteria, "criteria", many=True)
     if not criteria:
         raise ValueError("criteria must be non-empty")
     for c in criteria:
-        if not isinstance(c, str) or not c:
+        if not c:
             raise ValueError(f"criterion labels must be non-empty strings, got {c!r}")
         if not c.isascii() and any("\ud800" <= ch <= "\udfff" for ch in c):
             raise ValueError(f"criterion label {c!r} is not encodable as UTF-8")
     if len(set(criteria)) != len(criteria):
         raise ValueError(f"criterion labels must be unique, got {criteria}")
+    return criteria
 
 
 @dataclass(frozen=True)
 class JudgmentSet:
-    """One evaluator's pairwise importance judgments.
-
-    ``judgments`` holds exactly one value per unordered criterion pair, in
-    either orientation; the reciprocal orientation is implied.  Values must
-    lie within [1/9, 9].
-    """
+    """One evaluator's pairwise importance judgments: exactly one value per
+    unordered criterion pair, in either orientation, the reciprocal implied,
+    each a :func:`json_number` within [1/9, 9].  The id, the criteria, then
+    each judgment in the set's order is checked, so of two faulty judgments
+    the first one's fault is reported."""
 
     evaluator_id: str
     criteria: tuple[str, ...]
@@ -72,18 +75,12 @@ class JudgmentSet:
 
     def __post_init__(self) -> None:
         json_string(self.evaluator_id, "evaluator_id")
-        criteria = json_string(self.criteria, "criteria", many=True)
-        judgments = {  # json_number only for what is not a finite float
-            (a, b): v if type(v) is float and isfinite(v)
-            else json_number(v, f"judgment {a!r} vs {b!r} value")
-            for (a, b), v in self.judgments.items()
-        }
-        object.__setattr__(self, "criteria", criteria)
-        object.__setattr__(self, "judgments", judgments)
-        _check_criteria(criteria)
+        criteria = _check_criteria(self.criteria)
         index = {c: i for i, c in enumerate(criteria)}
-        seen: set[tuple[int, int]] = set()
-        for (a, b), value in judgments.items():
+        judgments, seen = {}, set()
+        for (a, b), value in self.judgments.items():
+            if type(value) is not float or not isfinite(value):  # a finite float passes as is
+                value = json_number(value, f"judgment {a!r} vs {b!r} value")
             i, j = index.get(a), index.get(b)
             if i is None or j is None or i == j:
                 raise ValueError(f"judgment pair ({a!r}, {b!r}) is not a valid pair")
@@ -93,10 +90,13 @@ class JudgmentSet:
             seen.add(key)
             if not SAATY_MIN <= value <= SAATY_MAX:
                 raise ValueError(f"judgment {a!r} vs {b!r} is {value}, outside [1/9, 9]")
+            judgments[(a, b)] = value
         n = len(criteria)
         if len(seen) < n * (n - 1) // 2:
             i, j = next(p for p in combinations(range(n), 2) if p not in seen)
             raise ValueError(f"missing judgment for pair {criteria[i]!r}/{criteria[j]!r}")
+        object.__setattr__(self, "criteria", criteria)
+        object.__setattr__(self, "judgments", judgments)
 
 
 def _reciprocal_stack(sets: list[JudgmentSet], criteria: tuple[str, ...]) -> np.ndarray:
@@ -124,8 +124,7 @@ class PairwiseMatrix:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "criteria", tuple(self.criteria))
-        _check_criteria(self.criteria)
+        object.__setattr__(self, "criteria", _check_criteria(self.criteria))
         cells = np.array(self.cells, dtype=float)
         n = len(self.criteria)
         if cells.shape != (n, n):
@@ -158,9 +157,8 @@ class WeightVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "criteria", tuple(self.criteria))
         object.__setattr__(self, "values", tuple(json_number(v, "weight") for v in self.values))
-        _check_criteria(self.criteria)
+        object.__setattr__(self, "criteria", _check_criteria(self.criteria))
         if len(self.values) != len(self.criteria):
             raise ValueError("one weight per criterion required")
         if not all(v >= 0 for v in self.values):
@@ -195,6 +193,7 @@ def aggregate_judgments(
     Each evaluator's judgments are first expanded to a full reciprocal
     matrix, then cells are averaged element-wise.  The arithmetic mean
     (default) does not preserve reciprocity; the geometric mean does.
+    Sets must cover the same criteria, each under its own ``evaluator_id``.
     """
     if method not in AGGREGATION_METHODS:
         raise ValueError(
@@ -202,8 +201,11 @@ def aggregate_judgments(
         )
     if not sets:
         raise ValueError("at least one judgment set is required")
-    criteria = sets[0].criteria
+    criteria, seen = sets[0].criteria, set()
     for js in sets:
+        if js.evaluator_id in seen:
+            raise ValueError(f"evaluator {js.evaluator_id!r} is given more than once")
+        seen.add(js.evaluator_id)
         if set(js.criteria) != set(criteria):
             raise ValueError(
                 f"evaluator {js.evaluator_id!r} covers criteria "
@@ -281,7 +283,8 @@ def read_judgments(path: str | Path, data: bytes | None = None) -> JudgmentSet:
     ``path``.
 
     Expected shape: {"evaluator_id": ..., "criteria": [...],
-    "judgments": [{"a": ..., "b": ..., "value": ...}, ...]}.
+    "judgments": [{"a": ..., "b": ..., "value": ...}, ...]}.  Only the layout
+    is checked here; :class:`JudgmentSet` checks the rest.
     """
     data = read_json(path, "judgment", data)
     try:
@@ -294,11 +297,7 @@ def read_judgments(path: str | Path, data: bytes | None = None) -> JudgmentSet:
             if (a, b) in judgments:
                 raise ValueError(f"duplicate judgment for pair {a!r}/{b!r}")
             judgments[(a, b)] = j["value"]
-        return JudgmentSet(
-            evaluator_id=json_string(data["evaluator_id"], "judgment field evaluator_id"),
-            criteria=json_string(data["criteria"], "judgment field criteria", many=True),
-            judgments=judgments,
-        )
+        return JudgmentSet(data["evaluator_id"], data["criteria"], judgments)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed judgment document: {exc}") from exc
 

@@ -146,11 +146,9 @@ def _echo_judgment_summary(js: ahp.JudgmentSet) -> ahp.ConsistencyReport:
 
 
 def cmd_ahp_elicit(args: argparse.Namespace) -> int:
-    criteria = tuple(args.criteria)
-    if len(criteria) < 2:
+    if len(args.criteria) < 2:
         raise ValueError("at least 2 criteria are required")
-    if len(set(criteria)) != len(criteria):
-        raise ValueError("criteria must be unique")
+    criteria = ahp._check_criteria(args.criteria)  # before the first prompt
     check_outputs([("--answers", args.answers)], [("--out", args.out)])
     scripted = args.answers is not None
     if scripted:

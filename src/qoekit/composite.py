@@ -57,14 +57,14 @@ class QosSample(NamedTuple):
 
 @dataclass(frozen=True)
 class CompositeModel:
-    """Named weighted-sum model over a fixed criteria set."""
+    """Named weighted-sum model over a fixed criteria set; its name is a string."""
 
     name: str
     weights: WeightVector
     scale: str = "mos-5pt"
 
     def __post_init__(self) -> None:
-        if not self.name:
+        if not json_string(self.name, "name"):
             raise ValueError("model name must be non-empty")
         if self.scale not in MODEL_SCALES:
             raise ValueError(f"scale must be one of {MODEL_SCALES}, got {self.scale!r}")
@@ -106,7 +106,7 @@ def make_model(
         )
         values = tuple(v / total for v in values)
     try:
-        return CompositeModel(name, WeightVector(tuple(criteria), values), scale)
+        return CompositeModel(name, WeightVector(criteria, values), scale)
     except ValueError as exc:  # name the model, as the checks above do
         raise ValueError(f"model {name!r}: {exc}") from exc
 
@@ -222,7 +222,8 @@ def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
     of the presets alone when ``path`` is None.
 
     Accepts one model object {name, criteria: [...], weights: [...]} or a
-    list of them (optionally under a top-level "models" key).
+    list of them (optionally under a top-level "models" key).  An entry is
+    built by :func:`make_model`, then refused if its name is taken.
     """
     models = dict(PRESETS)
     if not path:
@@ -241,13 +242,13 @@ def load_models(path: str | Path | None) -> dict[str, CompositeModel]:
         try:
             json_object(entry, "model entry")
             criteria = json_string(entry["criteria"], "model field criteria", many=True)
-            name, weights = json_string(entry["name"], "model field name"), entry["weights"]
-            if name in models:
-                raise ValueError(f"model {name!r} is already registered")
             scale = json_string(entry.get("scale", "mos-5pt"), "model field scale")
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                models[name] = make_model(name, weights, criteria, scale)
+                model = make_model(entry["name"], entry["weights"], criteria, scale)
+            if model.name in models:  # a refused entry's warnings are dropped
+                raise ValueError(f"model {model.name!r} is already registered")
+            models[model.name] = model
             for warning in caught:  # name the file, not a line of this module
                 warnings.warn(f"{path}: {warning.message}", warning.category, stacklevel=2)
         except (KeyError, TypeError) as exc:

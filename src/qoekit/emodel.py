@@ -106,6 +106,14 @@ class CodecProfile:
         ):
             if not ok:
                 raise ValueError(message)
+        # Finite coefficients can still overflow a term to a non-finite rating;
+        # a term peaks at 100% loss or at the jitter_t_ms buffer floor.
+        for fields_named, value in (
+            ("jitter_c1 to jitter_c4", jitter_impairment(self)),
+            ("loss_a, loss_b and loss_c", loss_impairment(100.0, self)),
+        ):
+            if not abs(value) < math.inf:  # NaN fails every comparison
+                raise ValueError(f"{fields_named} give a non-finite impairment, got {value}")
 
     @functools.cached_property
     def in_buffer_jitter(self) -> tuple[float, float]:
@@ -114,6 +122,54 @@ class CodecProfile:
         per profile."""
         r = self.r0 - jitter_impairment(self)
         return r, mos_from_r(r)
+
+
+def delay_impairment(delay_ms: float) -> float:
+    """Rating penalty for one-way delay in milliseconds.
+
+    Linear at 0.024/ms, with an extra 0.11/ms beyond the 177.3 ms knee.
+    """
+    delay_ms = delay_ms if type(delay_ms) is float else json_number(delay_ms, "delay_ms")
+    if not 0.0 <= delay_ms < math.inf:  # NaN fails every comparison
+        raise ValueError(f"delay_ms must be finite and >= 0, got {delay_ms}")
+    excess = delay_ms - DELAY_KNEE_MS
+    return 0.024 * delay_ms + 0.11 * (excess if excess > 0.0 else 0.0)
+
+
+def loss_impairment(loss_pct: float, profile: CodecProfile | None = None) -> float:
+    """Combined codec and packet-loss penalty for a loss percentage.
+
+    Equals ``loss_a`` at zero loss (the codec's intrinsic penalty) and
+    grows logarithmically with the loss fraction; ``profile`` defaults to G.729.
+    """
+    profile = G729 if profile is None else profile
+    loss_pct = loss_pct if type(loss_pct) is float else json_number(loss_pct, "loss_pct")
+    if not 0.0 <= loss_pct <= 100.0:
+        raise ValueError(f"loss_pct must be within [0, 100], got {loss_pct}")
+    return profile.loss_a + profile.loss_b * math.log(
+        1.0 + profile.loss_c * loss_pct / 100.0
+    )
+
+
+def jitter_impairment(profile: CodecProfile | None = None, t_ms: float | None = None) -> float:
+    """Jitter penalty for a profile's heavy-tail shape and a buffer size.
+
+    Quadratic in ``pareto_h`` plus an exponentially decaying buffer term;
+    a larger buffer ``t_ms`` (default: the profile's ``jitter_t_ms``)
+    absorbs more jitter and lowers the penalty.  ``profile`` defaults to G.729.
+    """
+    profile = G729 if profile is None else profile
+    h = profile.pareto_h
+    if t_ms is None:
+        t_ms = profile.jitter_t_ms
+    elif not 0.0 <= t_ms < math.inf:
+        raise ValueError(f"t_ms must be finite and >= 0, got {t_ms}")
+    return (
+        profile.jitter_c1 * h * h
+        + profile.jitter_c2 * h
+        + profile.jitter_c3
+        + profile.jitter_c4 * math.exp(-t_ms / profile.jitter_k)
+    )
 
 
 #: Built-in narrowband G.729 profile, the library default.
@@ -131,52 +187,6 @@ G729 = CodecProfile(
     jitter_t_ms=40.0,
     jitter_k=30.0,
 )
-
-
-def delay_impairment(delay_ms: float) -> float:
-    """Rating penalty for one-way delay in milliseconds.
-
-    Linear at 0.024/ms, with an extra 0.11/ms beyond the 177.3 ms knee.
-    """
-    delay_ms = delay_ms if type(delay_ms) is float else json_number(delay_ms, "delay_ms")
-    if not 0.0 <= delay_ms < math.inf:  # NaN fails every comparison
-        raise ValueError(f"delay_ms must be finite and >= 0, got {delay_ms}")
-    excess = delay_ms - DELAY_KNEE_MS
-    return 0.024 * delay_ms + 0.11 * (excess if excess > 0.0 else 0.0)
-
-
-def loss_impairment(loss_pct: float, profile: CodecProfile = G729) -> float:
-    """Combined codec and packet-loss penalty for a loss percentage.
-
-    Equals ``loss_a`` at zero loss (the codec's intrinsic penalty) and
-    grows logarithmically with the loss fraction.
-    """
-    loss_pct = loss_pct if type(loss_pct) is float else json_number(loss_pct, "loss_pct")
-    if not 0.0 <= loss_pct <= 100.0:
-        raise ValueError(f"loss_pct must be within [0, 100], got {loss_pct}")
-    return profile.loss_a + profile.loss_b * math.log(
-        1.0 + profile.loss_c * loss_pct / 100.0
-    )
-
-
-def jitter_impairment(profile: CodecProfile = G729, t_ms: float | None = None) -> float:
-    """Jitter penalty for a profile's heavy-tail shape and a buffer size.
-
-    Quadratic in ``pareto_h`` plus an exponentially decaying buffer term;
-    a larger buffer ``t_ms`` (default: the profile's ``jitter_t_ms``)
-    absorbs more jitter and lowers the penalty.
-    """
-    h = profile.pareto_h
-    if t_ms is None:
-        t_ms = profile.jitter_t_ms
-    elif not 0.0 <= t_ms < math.inf:
-        raise ValueError(f"t_ms must be finite and >= 0, got {t_ms}")
-    return (
-        profile.jitter_c1 * h * h
-        + profile.jitter_c2 * h
-        + profile.jitter_c3
-        + profile.jitter_c4 * math.exp(-t_ms / profile.jitter_k)
-    )
 
 
 def mos_from_r(r: float) -> float:
@@ -241,40 +251,28 @@ def json_object(value, field: str) -> dict:
 
 def profile_from_dict(data: dict) -> CodecProfile:
     """Build a profile from the JSON layout {name, r0, loss:{...}, jitter:{...}};
-    :class:`CodecProfile` checks the name and the numbers."""
+    only the layout is checked here: :class:`CodecProfile` checks the name,
+    the numbers and the terms."""
     json_object(data, "profile")
     try:
         loss = json_object(data["loss"], "profile field loss")
         jitter = json_object(data["jitter"], "profile field jitter")
-        constants = {
-            "r0": data["r0"],
-            "loss_a": loss["a"],
-            "loss_b": loss["b"],
-            "loss_c": loss["c"],
-            "jitter_c1": jitter["c1"],
-            "jitter_c2": jitter["c2"],
-            "jitter_c3": jitter["c3"],
-            "jitter_c4": jitter["c4"],
-            "pareto_h": jitter.get("h", G729.pareto_h),
-            "jitter_t_ms": jitter.get("t_ms", G729.jitter_t_ms),
-            "jitter_k": jitter.get("k", G729.jitter_k),
-            "name": data["name"],
-        }
+        return CodecProfile(
+            r0=data["r0"],
+            loss_a=loss["a"],
+            loss_b=loss["b"],
+            loss_c=loss["c"],
+            jitter_c1=jitter["c1"],
+            jitter_c2=jitter["c2"],
+            jitter_c3=jitter["c3"],
+            jitter_c4=jitter["c4"],
+            pareto_h=jitter.get("h", G729.pareto_h),
+            jitter_t_ms=jitter.get("t_ms", G729.jitter_t_ms),
+            jitter_k=jitter.get("k", G729.jitter_k),
+            name=data["name"],
+        )
     except KeyError as exc:
         raise ValueError(f"profile is missing required field {exc}") from exc
-    profile = CodecProfile(**constants)
-    # Finite coefficients can still overflow a term to a non-finite rating.
-    # The loss term grows with loss_pct and the jitter term falls with t_ms,
-    # so one that overflows anywhere does so at 100% loss or at the
-    # jitter_t_ms buffer floor.
-    ends = {
-        "jitter_c1 to jitter_c4": jitter_impairment(profile),
-        "loss_a, loss_b and loss_c": loss_impairment(100.0, profile),
-    }
-    for fields_named, value in ends.items():
-        if not abs(value) < math.inf:  # NaN fails every comparison
-            raise ValueError(f"{fields_named} give a non-finite impairment, got {value}")
-    return profile
 
 
 @names_file

@@ -31,6 +31,7 @@ from qoekit.ahp import (
     judgments_to_dict,
     table_to_csv_text,
 )
+from qoekit.composite import make_model
 from qoekit.emodel import json_number
 from conftest import CRITERIA, DATA_DIR, REFERENCE_MATRIX
 
@@ -193,6 +194,17 @@ def test_aggregate_errors():
         aggregate_judgments([two_criteria_set("e1", 2.0)], method="median")
 
 
+@pytest.mark.parametrize("method", AGGREGATION_METHODS)
+def test_aggregate_refuses_a_repeated_evaluator(method):
+    # one evaluator's set given twice, or two sets under one id, would count
+    # that evaluator twice in the mean
+    e1, e2 = two_criteria_set("e1", 9.0), two_criteria_set("e2", 1 / 3)
+    for sets in ([e1, e1, e2], [e1, e2, two_criteria_set("e1", 2.0)]):
+        with pytest.raises(ValueError) as exc:
+            aggregate_judgments(sets, method)
+        assert str(exc.value) == "evaluator 'e1' is given more than once"
+
+
 def test_judgment_set_validation():
     with pytest.raises(ValueError, match="missing judgment"):
         JudgmentSet("e", CRITERIA, {("loss", "delay"): 2.0})
@@ -247,6 +259,27 @@ def test_judgment_set_rejects_coercible_library_inputs(criteria, value, message)
         JudgmentSet("e", criteria, {("a", "b"): value})
     assert str(exc.value) == message
     assert JudgmentSet("e", ["a", "b"], {("a", "b"): 5}).judgments == {("a", "b"): 5.0}
+
+
+def test_criteria_refuse_a_lone_string_however_built(tmp_path):
+    # one rule, _check_criteria, for criteria built in code and read from
+    # JSON: "ab" is not split into the criteria a and b
+    message = "criteria must be a list of strings, got 'ab'"
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps({
+        "evaluator_id": "e", "criteria": "ab",
+        "judgments": [{"a": "a", "b": "b", "value": 3}],
+    }))
+    for build, expected in [
+        (lambda: JudgmentSet("e", "ab", {("a", "b"): 3.0}), message),
+        (lambda: read_judgments(path), f"{path}: {message}"),
+        (lambda: PairwiseMatrix("ab", np.ones((2, 2))), message),
+        (lambda: WeightVector("ab", (0.5, 0.5)), message),
+        (lambda: make_model("m", (0.5, 0.5), "ab"), f"model 'm': {message}"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == expected
 
 
 JUDGMENT_VALUES = st.one_of(

@@ -221,6 +221,28 @@ def test_elicit_rejects_off_scale_entry_in_scripted_mode(tmp_path, capsys):
     assert "not on the 1-9 scale" in err
 
 
+@pytest.mark.parametrize(
+    "criteria, message",
+    [
+        (["", "b"], "criterion labels must be non-empty strings, got ''"),
+        (["a", "a"], "criterion labels must be unique, got ('a', 'a')"),
+    ],
+    ids=["empty-label", "repeated-label"],
+)
+def test_elicit_refuses_criteria_before_the_first_prompt(tmp_path, capsys, criteria, message):
+    answers = tmp_path / "answers.txt"
+    answers.write_text("3\n")
+    out_file = tmp_path / "x.json"
+    code, out, err = run(
+        capsys,
+        "ahp", "elicit", "--criteria", *criteria,
+        "--evaluator-id", "e1", "--out", str(out_file), "--answers", str(answers),
+    )
+    assert (code, out) == (2, "")  # no prompt printed
+    assert err == f"error: {message}\n"
+    assert not out_file.exists()
+
+
 def test_elicit_requires_terminal_or_answers(tmp_path, capsys, monkeypatch):
     import sys
 
@@ -388,6 +410,20 @@ def test_weights_rejects_mismatched_criteria(tmp_path, capsys):
     assert "covers criteria" in err
 
 
+def test_weights_refuses_a_repeated_evaluator(tmp_path, capsys):
+    # e1 given twice, or a copy of e1 under another name, would count e1
+    # twice in the mean
+    e1, e7 = JUDGMENT_FILES[0], JUDGMENT_FILES[-1]
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(Path(e1).read_bytes())
+    for files in ([e1, e1, e7], [e1, str(copy), e7]):
+        code, out, err = run(
+            capsys, "ahp", "weights", *files, "--aggregate", "geometric-mean"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: evaluator 'e1' is given more than once\n"
+
+
 #: Stands for the literal 1e400, which json.dumps cannot write: Python's
 #: json reads it as an infinite float.
 OVERFLOW = "<1e400>"
@@ -396,9 +432,9 @@ OVERFLOW = "<1e400>"
 @pytest.mark.parametrize(
     "fields, message",
     [
-        ({"criteria": "ab"}, "judgment field criteria must be a list of strings, got 'ab'"),
-        ({"criteria": ["a", 2]}, "judgment field criteria must be a list of strings"),
-        ({"evaluator_id": 7}, "judgment field evaluator_id must be a string, got 7"),
+        ({"criteria": "ab"}, "criteria must be a list of strings, got 'ab'"),
+        ({"criteria": ["a", 2]}, "criteria must be a list of strings"),
+        ({"evaluator_id": 7}, "evaluator_id must be a string, got 7"),
         (
             {"judgments": [{"a": "a", "b": 2, "value": 3}]},
             "judgment field b must be a string, got 2",
@@ -535,7 +571,7 @@ def run_counting_opens(capsys, monkeypatch, *argv):
 
 def test_weights_opens_each_judgment_file_once(capsys, monkeypatch):
     # the bytes read for parsing are the bytes hashed into the report
-    files = [*JUDGMENT_FILES, JUDGMENT_FILES[0]]  # a file given twice is read twice
+    files = [*JUDGMENT_FILES]
     code, out, opened = run_counting_opens(
         capsys, monkeypatch, "ahp", "weights", *files, "--json"
     )
@@ -543,6 +579,13 @@ def test_weights_opens_each_judgment_file_once(capsys, monkeypatch):
     assert [p for p in opened if p in files] == files
     stamped = json.loads(out[out.index("{\n") :])["inputs"]
     assert stamped == [{"path": p, "sha256": sha256_file(p)} for p in files]
+    # a file given twice is read twice, then refused as a repeated evaluator
+    files.append(JUDGMENT_FILES[0])
+    code, out, opened = run_counting_opens(
+        capsys, monkeypatch, "ahp", "weights", *files, "--json"
+    )
+    assert (code, out) == (2, "")
+    assert [p for p in opened if p in files] == files
 
 
 def test_weights_opens_the_matrix_file_once(capsys, monkeypatch):
@@ -1576,7 +1619,7 @@ def test_models_list_with_config(tmp_path, capsys):
         ),
         (
             '{"name": 5, "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2]}',
-            "model field name must be a string, got 5",
+            "model 5: name must be a string, got 5",
         ),
         (
             '{"name": "zc", "criteria": ["loss", "delay", "jitter"], "weights": [0.5, 0.3, 0.2],'

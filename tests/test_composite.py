@@ -468,6 +468,24 @@ def test_presets_table():
     assert load_models(None) == dict(PRESETS)
 
 
+def test_model_name_refuses_a_non_string_however_built(tmp_path):
+    # one rule, CompositeModel's, for a model built in code and read from JSON
+    weights = PRESETS["paper-5g-ahp"].weights
+    config = tmp_path / "models.json"
+    config.write_text('{"name": 5, "criteria": ["loss", "delay", "jitter"],'
+                      ' "weights": [0.55, 0.25, 0.2]}')
+    message = "name must be a string, got 5"
+    for build, expected in [
+        (lambda: CompositeModel(5, weights), message),
+        (lambda: make_model(5, weights.values, weights.criteria), f"model 5: {message}"),
+        (lambda: load_models(config), f"{config}: model 5: {message}"),
+        (lambda: CompositeModel("", weights), "model name must be non-empty"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == expected
+
+
 def test_load_models_config(tmp_path):
     config = tmp_path / "models.json"
     config.write_text(

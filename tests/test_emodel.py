@@ -268,6 +268,26 @@ def test_profile_name_refuses_a_non_string_however_built():
     )
 
 
+@pytest.mark.parametrize(
+    "changes, fields, value",
+    [
+        ({"loss_b": 1e308}, "loss_a, loss_b and loss_c", "inf"),  # 11 + 1e308 * ln 11
+        ({"loss_b": 0.0, "loss_c": 1e308}, "loss_a, loss_b and loss_c", "nan"),  # 0 * ln inf
+        # 1.7e308 + 1e308 * exp(-40/30) overflows at the buffer floor only
+        ({"jitter_c3": 1.7e308, "jitter_c4": 1e308}, "jitter_c1 to jitter_c4", "inf"),
+    ],
+    ids=["loss-inf", "loss-nan", "jitter-inf"],
+)
+def test_profile_terms_refuse_an_overflow_however_built(changes, fields, value):
+    # the CLI's refusal of the same numbers is in test_cli.py
+    message = f"{fields} give a non-finite impairment, got {value}"
+    assert refusal(lambda: replace(G729, **changes)) == message
+    document = G729_DOCUMENT
+    for name, number in changes.items():
+        document = with_value(document, PROFILE_PATHS[name], number)
+    assert refusal(lambda: profile_from_dict(document)) == message
+
+
 def test_profile_json_roundtrip(tmp_path):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(G729_DOCUMENT))
